@@ -16,7 +16,8 @@ from . import assets
 from . import metrics as metrics_mod
 from . import qmasm, qram
 from . import statevec as sv
-from .errors import DatasetError, ParseError, QmemError, ResourceError, ValidationFailure
+from .errors import (ArgumentError, DatasetError, ParseError, QmemError, ResourceError,
+                     ValidationFailure)
 
 
 def main(argv=None) -> int:
@@ -83,7 +84,11 @@ def cmd_run(args) -> int:
     declared_bits = _declared_bits(program.body)
     post_select = {}
     for spec in args.post_select:
-        name, idx, value = qmasm.parse_post_select(spec)
+        try:
+            name, idx, value = qmasm.parse_post_select(spec)
+        except ArgumentError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         if name not in declared_bits or not 0 <= idx < declared_bits[name]:
             print(f"error: --post-select names undeclared bit {name}[{idx}]",
                   file=sys.stderr)
@@ -219,6 +224,10 @@ def _declared_bits(stmts) -> dict:
 
 
 def cmd_qram_check(args) -> int:
+    for flag, value in (("--addr-bits", args.addr_bits), ("--seeds", args.seeds)):
+        if value < 1:
+            print(f"error: {flag} must be >= 1", file=sys.stderr)
+            return 1
     if args.addr_bits > qram.MAX_CIRCUIT_ADDR_BITS:
         print(f"error: circuit backend supports at most "
               f"{qram.MAX_CIRCUIT_ADDR_BITS} address bits", file=sys.stderr)

@@ -61,8 +61,10 @@ def parse_post_select(text: str) -> tuple[str, int, int]:
         idx = key[len(name):]
         if not idx:
             idx = "0"
-    if not name:
-        raise ArgumentError(f"bad post-select spec {text!r}")
+    value = value.strip()
+    if not name or not idx.strip().isdecimal() or value not in ("0", "1"):
+        raise ArgumentError(
+            f"bad post-select spec {text!r}; expected e.g. caux[0]=1 with value 0 or 1")
     return name.strip(), int(idx), int(value)
 
 
@@ -351,6 +353,8 @@ class _Interpreter:
                 return left - right
             if op == "*":
                 return left * right
+            if op in ("/", "%") and right == 0:
+                raise ShotError(f"division by zero at {expr.pos}")
             if op == "/":
                 return left / right
             if op == "%":
@@ -402,6 +406,8 @@ class _Interpreter:
         if arg.slice is not None:
             start = int(self._eval(arg.slice[0]))
             end = len(reg) - 1 if arg.slice[1] is None else int(self._eval(arg.slice[1]))
+            if not (0 <= start <= end < len(reg)):
+                raise ShotError(f"slice [{start}:{end}] out of range for {arg.name}")
             return [(arg.name, i) for i in range(start, end + 1)]
         return [(arg.name, i) for i in range(len(reg))]
 
@@ -588,8 +594,9 @@ class _Interpreter:
                 channels=binding.layout.channels, memory=binding.layout.memory)
             mode = qram.QramMode(qram.Direction.READ, qram.DataKind.CLASSICAL,
                                  qram.Coupling.CNOT)
-            for g in qram.build_router_program(device, mode, layout):
-                self._apply(g)
+            program = qram.build_router_program(device, mode, layout)
+            sv.apply_basis_permutation(self.state, program)
+            self.trace.extend(("gate", g) for g in program)
         duration = device.addr_len * (self.config.timing.qram_stage_time
                                       if self.config.timing else 0.0)
         self._tick(f"qld:{stmt.name}", duration)

@@ -32,7 +32,7 @@ UNSUPPORTED = {
 }
 
 TWO_CHAR = {"->", "==", "!=", "<=", ">=", "**"}
-SINGLE = set("[](){};,=<>+-*/^:@")
+SINGLE = set("[](){};,=<>+-*/%^:@")
 
 
 class Token:

@@ -6,6 +6,13 @@ an address-pattern control. The circuit backend emits an explicit router-tree
 gate sequence (quantum switches + per-depth channel wires) whose net effect
 must match the functional backend and restore every ancilla to |0>.
 
+Every router-tree gate is a (controlled) X, CNOT or SWAP, so the program is a
+classical reversible circuit: `check_mode` and the interpreter's circuit
+`qld` run it on the basis indices of the input's support
+(`statevec.permute_basis`) rather than on the dense 2^n-amplitude state.
+`run_circuit_mode` applies it gate by gate to the dense state and stays as
+the reference the tests compare against.
+
 Address registers, classical data indices, and memory cell numbering all use
 the package-wide little-endian convention (qubit/bit 0 is least significant).
 """
@@ -339,6 +346,7 @@ def build_router_program(device: QramDevice, mode: QramMode,
 
 def run_circuit_mode(device: QramDevice, state: sv.StateVector, mode: QramMode,
                      layout: CircuitLayout) -> sv.StateVector:
+    """Dense reference: the router program applied gate by gate to `state`."""
     return sv.apply_gates_elided(state, build_router_program(device, mode, layout))
 
 
@@ -528,9 +536,14 @@ def check_mode(addr_len: int, mode: QramMode, seed: int,
 
     The input is prepared on the data qubits only (addr+bus+memory, the low
     block of the layout), the functional reference evolves there, and the
-    circuit backend runs on the full layout with ancillas in |0>. The final
-    fidelity is <circuit | reference x 0_ancilla>; the weight of the all-zero
-    ancilla configuration doubles as a purity lower bound (p^2 <= Tr rho^2).
+    circuit backend runs on the full layout with ancillas in |0>. The router
+    program only permutes basis states, so it runs on the indices of the
+    input's support; the images that land in the low block (all ancillas
+    |0>) are scattered into one vector, and no full-layout state is built
+    except for the exact ancilla purity on layouts of at most 14 qubits.
+    The final fidelity is <circuit | reference x 0_ancilla>; the weight of
+    the all-zero ancilla configuration doubles as a purity lower bound
+    (p^2 <= Tr rho^2).
     """
     layout = circuit_layout(addr_len, 1)
     device = QramDevice(addr_len=addr_len, backend="circuit",
@@ -543,14 +556,19 @@ def check_mode(addr_len: int, mode: QramMode, seed: int,
     apply_mode(device, reference, mode, layout.addr, layout.bus)
     profile = entanglement_profile(reference, device, layout.addr, layout.bus)
 
-    big = sv.embed_low(small, layout.total_qubits)
-    run_circuit_mode(device, big, mode, layout)
-
-    low = big.amps[: reference.amps.size]
+    support = np.flatnonzero(small.amps != 0)
+    images = sv.permute_basis(support, build_router_program(device, mode, layout),
+                              layout.total_qubits)
+    in_low = images < small.amps.size
+    low = np.zeros_like(small.amps)
+    low[images[in_low]] = small.amps[support[in_low]]
     fidelity = float(abs(np.vdot(low, reference.amps)) ** 2)
     p_zero = float(np.sum(np.abs(low) ** 2))
     if layout.total_qubits <= 14:
-        purity = sv.reduced_purity(big, layout.ancillas)
+        big = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
+        big[images] = small.amps[support]
+        purity = sv.reduced_purity(sv.StateVector(layout.total_qubits, big),
+                                   layout.ancillas)
     else:
         purity = p_zero ** 2  # Tr(rho^2) >= <0|rho|0>^2
 

@@ -64,6 +64,21 @@ class TestRun:
         assert code == 2
         assert "AddressError" in err
 
+    @pytest.mark.parametrize("spec", ["c0=x", "nonsense"])
+    def test_bad_post_select_spec_exits_1(self, capsys, spec):
+        code, _, err = run_cli(capsys, "run", "examples/bell_store.qmasm",
+                               "--post-select", spec)
+        assert code == 1
+        assert err.startswith("error: bad post-select spec")
+        assert "Traceback" not in err
+
+    def test_division_by_zero_exits_2(self, capsys, tmp_path):
+        src = tmp_path / "div.qmasm"
+        src.write_text("OPENQASM 3;\nqubit[1] q;\nint k = 0;\nint j = 3 / k;\n")
+        code, _, err = run_cli(capsys, "run", str(src))
+        assert code == 2
+        assert "ShotError: division by zero at line 4" in err
+
     def test_timeline_report(self, capsys):
         code, out, _ = run_cli(capsys, "run", "examples/bell_store.qmasm",
                                "--timeline")
@@ -137,6 +152,14 @@ class TestQramCheck:
         code, _, err = run_cli(capsys, "qram-check", "--addr-bits", "5")
         assert code == 1
         assert "at most 3" in err
+
+    @pytest.mark.parametrize("argv", [("--addr-bits", "0"), ("--seeds", "-1"),
+                                      ("--seeds", "0")])
+    def test_counts_must_be_positive(self, capsys, argv):
+        code, out, err = run_cli(capsys, "qram-check", *argv)
+        assert code == 1
+        assert err == f"error: {argv[0]} must be >= 1\n"
+        assert out == ""
 
     def test_bad_mode_name(self, capsys):
         code, _, err = run_cli(capsys, "qram-check", "--modes", "read-foo-bar")

@@ -5,7 +5,7 @@ import pytest
 
 from qmemsim import assets, memdev, qmasm
 from qmemsim import statevec as sv
-from qmemsim.errors import ResourceError, ValidationFailure
+from qmemsim.errors import ArgumentError, ResourceError, ValidationFailure
 
 HEADER = "OPENQASM 3;\n"
 
@@ -147,6 +147,26 @@ class TestErrorsAndConfig:
         assert qmasm.parse_post_select("caux0=1") == ("caux", 0, 1)
         assert qmasm.parse_post_select("flag=0") == ("flag", 0, 0)
 
+    @pytest.mark.parametrize("spec", ["c0=x", "nonsense", "c0=2", "c[x]=1", "=1"])
+    def test_post_select_parsing_rejects(self, spec):
+        with pytest.raises(ArgumentError, match="bad post-select spec"):
+            qmasm.parse_post_select(spec)
+
+    @pytest.mark.parametrize("op", ["/", "%"])
+    def test_division_by_zero_aborts_shot(self, op):
+        res = run(HEADER + f"qubit[1] q;\nint k = 7 {op} 2;\nint z = 0;\nint j = 3 {op} z;\n")
+        assert res.status == "error"
+        assert res.error == "ShotError: division by zero at line 5, col 11"
+        assert res.classical["k"] == (3 if op == "/" else 1)
+
+    def test_bad_bit_slice_aborts_before_measuring(self):
+        src = HEADER + "qubit[1] q;\nbit[1] c;\nint k = 5;\nh q[0];\nmeasure q -> c[k:k];\n"
+        res = run(src)
+        assert res.status == "error"
+        assert "slice [5:5] out of range for c" in res.error
+        assert res.final_state.probability(0, 1) == pytest.approx(0.5, abs=1e-12)
+        assert res.shot_log[0]["measurements"] == []
+
     def test_store_policy_error_mode(self):
         src = HEADER + "qubit[1] q;\nmem 1;\nh q;\nst [0] = q;\nx q;\nst [0] = q;\n"
         res = run(src, store_policy="error")
@@ -257,6 +277,13 @@ qld qr(bb)[a];
         carved = np.array([big[k | (x_value << 3)] for k in range(8)])
         fid = abs(np.vdot(carved, small)) ** 2
         assert fid >= 1 - 1e-9
+
+    def test_replay_matches_final_state(self):
+        res = qmasm.execute(qmasm.parse_program(self.SRC), 3,
+                            qmasm.RunConfig(backend="circuit"))
+        assert res.status == "ok"
+        replayed = qmasm.replay_trace(res.trace, res.num_qubits)
+        assert np.array_equal(replayed.amps, res.final_state.amps)
 
     def test_budget_exceeded(self):
         src = assets.example_path("qft_amplitude.qmasm").read_text()

@@ -218,6 +218,23 @@ class TestCircuitBackend:
         assert r.passed, (r.fidelity, r.pattern)
 
 
+class TestIndexPathMatchesDense:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("mode", [m.name for m in qram.ALL_MODES])
+    def test_router_program(self, mode, n):
+        """Router program on the support's indices == dense run_circuit_mode."""
+        mode = qram.QramMode.parse(mode)
+        layout = qram.circuit_layout(n)
+        dev = qram.QramDevice(addr_len=n, memory_qubits=layout.memory)
+        small = qram.prepare_mode_input(dev, mode, layout, np.random.default_rng(n),
+                                        sv.init_state(layout.data_qubits))
+        dense = sv.embed_low(small, layout.total_qubits)
+        moved = dense.copy()
+        qram.run_circuit_mode(dev, dense, mode, layout)
+        sv.apply_basis_permutation(moved, qram.build_router_program(dev, mode, layout))
+        assert np.array_equal(dense.amps, moved.amps)
+
+
 class TestEntanglementProfile:
     @pytest.mark.parametrize("mode,pattern", sorted(qram.MODE_PATTERNS.items()))
     def test_patterns_on_generic_inputs(self, mode, pattern):

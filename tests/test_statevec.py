@@ -272,6 +272,72 @@ class TestElidedSwaps:
         assert np.allclose(a.amps, b.amps)
 
 
+def random_permutation_gates(rng, n, count):
+    """X/CNOT/SWAP gates with random controls and control values."""
+    gates = []
+    for _ in range(count):
+        kind = str(rng.choice(["x", "cnot", "swap"]))
+        width = 1 if kind == "x" else 2
+        qubits = [int(q) for q in rng.permutation(n)]
+        targets = qubits[:width]
+        controls = qubits[width:width + int(rng.integers(0, 3))]
+        values = [int(v) for v in rng.integers(0, 2, len(controls))]
+        gates.append(sv.gate(kind, targets, controls=controls, control_values=values))
+    return gates
+
+
+class TestBasisPermutation:
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_dense_application(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 6
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        amps[rng.random(1 << n) < rng.random()] = 0.0  # some states sparse
+        amps /= np.linalg.norm(amps) or 1.0
+        gates = random_permutation_gates(rng, n, int(rng.integers(1, 25)))
+        dense = sv.StateVector(n, amps.copy())
+        moved = sv.StateVector(n, amps.copy())
+        sv.apply_gates(dense, gates)
+        sv.apply_basis_permutation(moved, gates)
+        assert np.array_equal(dense.amps, moved.amps)
+
+    def test_maps_indices(self):
+        gates = [sv.gate("x", (0,)), sv.gate("cnot", (0, 2)),
+                 sv.gate("swap", (1, 2), controls=(0,), control_values=(0,))]
+        # 0b000 -> 0b101 -> swap skipped (q0 = 1); 0b010 -> 0b011 -> 0b111
+        images = sv.permute_basis(np.array([0b000, 0b010]), gates, 3)
+        assert images.tolist() == [0b101, 0b111]
+
+    @pytest.mark.parametrize("g", [sv.gate("h", (0,)),
+                                   sv.gate("u", (0,), (0.1, 0.2, 0.3)),
+                                   sv.gate("rk", (0,), (2,))])
+    def test_rejects_non_permutations(self, g):
+        with pytest.raises(ArgumentError, match="not a basis permutation"):
+            sv.permute_basis(np.arange(4), [g], 2)
+
+    @pytest.mark.parametrize("g", [sv.gate("cnot", (1, 1)),
+                                   sv.gate("x", (0,), controls=(0,)),
+                                   sv.gate("swap", (0, 2)),
+                                   sv.gate("x", (1,), controls=(-1,)),
+                                   sv.gate("x", (0, 1))])
+    def test_rejects_bad_qubits(self, g):
+        with pytest.raises(ArgumentError):
+            sv.permute_basis(np.arange(4), [g], 2)
+
+    @pytest.mark.parametrize("indices, n", [([0, 4], 2), ([-1], 2), ([0], 0), ([0], 63)])
+    def test_rejects_bad_indices_and_widths(self, indices, n):
+        with pytest.raises(ArgumentError):
+            sv.permute_basis(np.array(indices), [], n)
+
+    def test_rejected_gate_leaves_state_alone(self):
+        s = bell_state()
+        before = s.amps.copy()
+        with pytest.raises(ArgumentError):
+            sv.apply_basis_permutation(s, [sv.gate("x", (0,)), sv.gate("h", (1,))])
+        assert np.array_equal(s.amps, before)
+
+
 class TestDump:
     def test_format_and_threshold(self):
         s = sv.init_state(2, 1)
