@@ -101,10 +101,7 @@ def cmd_run(args) -> int:
     )
 
     try:
-        if args.shots == 1:
-            results = [qmasm.execute(program, args.seed, config)]
-        else:
-            results = qmasm.run_shots(program, args.seed, args.shots, config)
+        results = qmasm.run_shots(program, args.seed, args.shots, config)
     except (ValidationFailure, ResourceError, QmemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

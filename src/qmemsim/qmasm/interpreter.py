@@ -9,6 +9,7 @@ replayed gate-by-gate on a fresh state (the flattened-circuit cross-check).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -88,20 +89,41 @@ class RunResult:
 
 
 def execute(program: n.Program, seed: int, config: RunConfig | None = None) -> RunResult:
-    """Run one shot. Raises ValidationFailure on error diagnostics; runtime
-    failures abort the shot and are reported in status/shot_log instead."""
-    config = config or RunConfig()
-    diagnostics = validate(program)
-    if has_errors(diagnostics):
-        raise ValidationFailure([d for d in diagnostics if d.severity == "error"])
-    interp = _Interpreter(program, seed, config)
-    return interp.run()
+    """Run one shot: `run_shots(program, seed, 1, config)[0]`.
+
+    Raises ValidationFailure on error diagnostics; runtime failures abort the
+    shot and are reported in status/shot_log instead.
+    """
+    return run_shots(program, seed, 1, config)[0]
 
 
 def run_shots(program: n.Program, seed: int, shots: int,
               config: RunConfig | None = None) -> list[RunResult]:
-    """Independent shots with seeds seed, seed+1, ... (deterministic)."""
-    return [execute(program, seed + i, config) for i in range(shots)]
+    """Independent shots with seeds seed, seed+1, ... (deterministic).
+
+    The program is validated once. Its leading top-level statements that
+    contain no measure, reset or mreset anywhere inside them draw nothing
+    from the RNG, so they run once; every shot then continues from a copy of
+    that point with its own `default_rng(seed + i)` (the last shot takes the
+    original). Each shot's result is identical to running the whole program
+    from scratch with its seed, including a shot error raised in the prefix.
+    """
+    if shots < 1:
+        return []
+    config = config or RunConfig()
+    diagnostics = validate(program)
+    if has_errors(diagnostics):
+        raise ValidationFailure([d for d in diagnostics if d.severity == "error"])
+    split = _rng_free_prefix(program.body)
+    prefix = _Interpreter(program, seed, config)
+    prefix.run(program.body[:split])
+    results = []
+    for i in range(shots):
+        shot = prefix if i == shots - 1 else prefix.fork()
+        shot.reseed(seed + i)
+        shot.run(program.body[split:])
+        results.append(shot.result())
+    return results
 
 
 def aggregate_counts(results, reg: str) -> dict:
@@ -140,8 +162,8 @@ class _Interpreter:
     def __init__(self, program, seed, config):
         self.program = program
         self.config = config
-        self.rng = np.random.default_rng(seed)
-        self.seed = seed
+        self.reseed(seed)
+        self.error = None   # the shot error that stopped the shot, if any
         self.steps = 0
         self.trace = []
         self.timeline = []
@@ -213,12 +235,45 @@ class _Interpreter:
 
     # -- execution ----------------------------------------------------------
 
-    def run(self) -> RunResult:
-        status, error = "ok", None
+    def reseed(self, seed):
+        self.seed = seed
+        self.rng = np.random.default_rng(seed)
+
+    def fork(self) -> "_Interpreter":
+        """A copy of this shot so far that shares no mutable object with it."""
+        other = copy.copy(self)
+        other.state = self.state.copy()
+        other.trace = list(self.trace)
+        other.timeline = list(self.timeline)
+        other.measurements = list(self.measurements)
+        other.warnings = list(self.warnings)
+        other.ints = dict(self.ints)
+        other.bits = {name: list(reg) for name, reg in self.bits.items()}
+        other.gate_defs = dict(self.gate_defs)
+        other.cell_busy_since = dict(self.cell_busy_since)
+        other.cell_busy_total = dict(self.cell_busy_total)
+        if self.mem is not None:
+            other.mem = copy.copy(self.mem)
+            other.mem.cell_status = list(self.mem.cell_status)
+        other.qrams = {}
+        for name, binding in self.qrams.items():
+            device = copy.copy(binding.device)
+            if device.classical_data is not None:
+                device.classical_data = list(device.classical_data)
+            other.qrams[name] = _QramBinding(device, binding.layout)
+        return other
+
+    def run(self, stmts):
+        """Execute top-level statements, unless a shot error stopped the shot."""
+        if self.error is not None:
+            return
         try:
-            self._exec_block(self.program.body)
+            self._exec_block(stmts)
         except (ShotError, AddressError, PostSelectionError, QmemError) as exc:
-            status, error = "error", f"{type(exc).__name__}: {exc}"
+            self.error = f"{type(exc).__name__}: {exc}"
+
+    def result(self) -> RunResult:
+        status = "ok" if self.error is None else "error"
         if self.config.timing and self.mem and self.mem.timing \
                 and self.mem.timing.t_storage:
             for cell, since in self.cell_busy_since.items():
@@ -228,12 +283,12 @@ class _Interpreter:
         shot_entry = {
             "shot": self.seed,
             "status": status,
-            "error": error,
+            "error": self.error,
             "measurements": list(self.measurements),
         }
         return RunResult(
             status=status,
-            error=error,
+            error=self.error,
             classical={**{k: list(v) for k, v in self.bits.items()}, **self.ints},
             final_state=self.state,
             memory_dump=memdev.memory_dump(self.mem, self.state) if self.mem else [],
@@ -618,6 +673,18 @@ def _oracle_gates(device, addr, bus):
                 gates.append(sv.gate("x", (bus[t],), controls=addr,
                                      control_values=values))
     return gates
+
+
+# Statements that draw from the shot's RNG.
+_RNG_STATEMENTS = (n.Measure, n.ResetStmt, n.MResetStmt)
+
+
+def _rng_free_prefix(body) -> int:
+    """Number of leading statements with no RNG-drawing statement inside them."""
+    for i, stmt in enumerate(body):
+        if any(isinstance(s, _RNG_STATEMENTS) for s in _iter_all([stmt])):
+            return i
+    return len(body)
 
 
 def _iter_all(stmts):

@@ -136,9 +136,8 @@ def qinit_load(device: QramDevice, x, state: sv.StateVector | None = None) -> Qr
         )
     device.classical_data = bits
     if state is not None and device.memory_qubits:
-        for q, b in zip(device.memory_qubits, bits):
-            if b:
-                sv.apply_gate(state, sv.gate("x", (q,)))
+        sv.apply_basis_permutation(state, [
+            sv.gate("x", (q,)) for q, b in zip(device.memory_qubits, bits) if b])
     return device
 
 

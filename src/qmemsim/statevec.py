@@ -195,15 +195,15 @@ def apply_gate(state: StateVector, g: GateSpec) -> StateVector:
         return psi[tuple(idx)]
 
     dim = 1 << k
-    if _is_permutation(mat):
+    path, rows = _kernel_path(g.kind, mat)
+    if path == "perm":
         moved = {}
-        rows = [int(np.argmax(np.abs(mat[:, j]))) for j in range(dim)]
         for src, dst in enumerate(rows):
             if dst != src:
                 moved[dst] = view(src).copy()
         for dst, data in moved.items():
             view(dst)[...] = data
-    elif _is_diagonal(mat):
+    elif path == "diag":
         for j in range(dim):
             d = mat[j, j]
             if d != 1:
@@ -299,6 +299,39 @@ def _is_diagonal(mat) -> bool:
     return not np.any(mat[~np.eye(mat.shape[0], dtype=bool)])
 
 
+def _inspect(mat):
+    """Kernel path of a matrix: ("perm", row of each column's 1), ("diag", None)
+    or ("dense", None)."""
+    if _is_permutation(mat):
+        return "perm", tuple(int(np.argmax(np.abs(mat[:, j]))) for j in range(len(mat)))
+    if _is_diagonal(mat):
+        return "diag", None
+    return "dense", None
+
+
+# The constant-matrix kinds, inspected once. Nothing else is cached: a cache
+# keyed on parameters would fill with every distinct angle of a `u` gate.
+_FIXED_PATHS = {kind: _inspect(GateSpec(kind, ()).matrix())
+                for kind in ("h", "x", "cnot", "swap")}
+
+
+def _kernel_path(kind: str, mat):
+    """The path apply_gate takes for a gate of this kind and matrix.
+
+    The same as _inspect(mat), but without inspecting a `u`/`rk` matrix: a
+    2x2 matrix whose off-diagonal entries are exactly 0 is diagonal, and the
+    only permutation such a gate can equal is the identity (say U(0,0,0)),
+    which the diagonal path leaves untouched just as the permutation path
+    does. Any other `u`/`rk`, NaN entries included, takes the dense path.
+    """
+    fixed = _FIXED_PATHS.get(kind)
+    if fixed is not None:
+        return fixed
+    if mat[0, 1] == 0 and mat[1, 0] == 0:
+        return "diag", None
+    return "dense", None
+
+
 def apply_gates(state: StateVector, gates) -> StateVector:
     for g in gates:
         apply_gate(state, g)
@@ -372,13 +405,13 @@ def postselect_qubit(state: StateVector, qubit: int, outcome: int) -> tuple[floa
 
 
 def _project(state, qubit, outcome, prob):
-    view = state.amps.reshape(-1, 2, 1 << qubit)
-    view[:, 1 - outcome, :] = 0.0
     if prob <= 0.0:
         raise PostSelectionError(
             f"projection on qubit {qubit}={outcome} has zero probability",
             probability=prob,
         )
+    view = state.amps.reshape(-1, 2, 1 << qubit)
+    view[:, 1 - outcome, :] = 0.0
     state.amps /= math.sqrt(prob)
 
 

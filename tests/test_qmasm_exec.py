@@ -1,11 +1,14 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
 from qmemsim import assets, memdev, qmasm
 from qmemsim import statevec as sv
-from qmemsim.errors import ArgumentError, ResourceError, ValidationFailure
+from qmemsim.errors import ArgumentError, QmemError, ResourceError, ValidationFailure
+from qmemsim.qmasm import interpreter, nodes
 
 HEADER = "OPENQASM 3;\n"
 
@@ -285,6 +288,18 @@ qld qr(bb)[a];
         replayed = qmasm.replay_trace(res.trace, res.num_qubits)
         assert np.array_equal(replayed.amps, res.final_state.amps)
 
+    def test_qinit_after_gates_matches_replay(self):
+        # the address is in superposition when qinit flips the memory cells
+        src = self.SRC.replace("qinit qr [v];\nh a;\n", "h a;\nqinit qr [v];\n")
+        res = qmasm.execute(qmasm.parse_program(src), 3,
+                            qmasm.RunConfig(backend="circuit"))
+        assert res.status == "ok"
+        flips = [e[1] for e in res.trace if e[0] == "gate" and e[1].kind == "x"
+                 and not e[1].controls]
+        assert len(flips) == 2
+        replayed = qmasm.replay_trace(res.trace, res.num_qubits)
+        assert np.array_equal(replayed.amps, res.final_state.amps)
+
     def test_budget_exceeded(self):
         src = assets.example_path("qft_amplitude.qmasm").read_text()
         prog = qmasm.parse_program(src)
@@ -312,3 +327,139 @@ class TestQftExampleSmoke:
         assert res.classical["caux"] == [1, 0]
         # all four memory cells are occupied at the end
         assert all(line.split("\t")[1] == "occupied" for line in res.memory_dump)
+
+
+EXAMPLE_POST_SELECT = {
+    "bell_store": ("c", 0),
+    "buffer_demo": ("c", 1),
+    "qft_amplitude": ("caux", 0),
+    "qft_amplitude_clean": ("caux", 0),
+}
+
+
+def circuit_qld_source(seed):
+    """A seeded circuit-backend qld program on a 2-bit address, 12 qubits in all."""
+    rng = random.Random(seed)
+    data = ",".join(str(rng.randrange(2)) for _ in range(4))
+    lines = [HEADER + "qubit[2] a;", "qubit[1] b;", "bit[1] c;", "bit[2] ca;",
+             "qram qr[2,1];", f"qinit qr [{data}];"]
+    for i in range(2):
+        theta, phi, lam = (rng.uniform(0.3, 3.0) for _ in range(3))
+        lines.append(f"U({theta:.12f}, {phi:.12f}, {lam:.12f}) a[{i}];")
+    lines += ["qld qr(b)[a];", "measure b -> c[0];", "qld qr(b)[a];", "measure a -> ca;"]
+    return "\n".join(lines) + "\n"
+
+
+def fork_cases():
+    timing = qmasm.TimingProfile(gate_fidelity=0.999, raqm_fidelity=0.99,
+                                 raqm=memdev.RaqmTiming(t_addr=1e-6, t_rw_qmc=2e-7))
+    decay = qmasm.TimingProfile(
+        gate_time=1e-6, raqm=memdev.RaqmTiming(0.0, 1e-6, t_storage=10e-6))
+    for name, bit in EXAMPLE_POST_SELECT.items():
+        src = assets.example_path(name + ".qmasm").read_text()
+        yield name, src, qmasm.RunConfig()
+        yield name + "-circuit", src, qmasm.RunConfig(backend="circuit")
+        yield name + "-timing", src, qmasm.RunConfig(timing=timing)
+        yield name + "-post-select", src, qmasm.RunConfig(post_select={bit: 1})
+    # a cell is released after the prefix, so idle decay differs per shot
+    yield ("buffer_demo-decay", assets.example_path("buffer_demo.qmasm").read_text(),
+           qmasm.RunConfig(timing=decay))
+    for seed in (1, 2):
+        yield (f"qld-circuit-{seed}", circuit_qld_source(seed),
+               qmasm.RunConfig(backend="circuit"))
+    yield ("qld-circuit-timing", circuit_qld_source(3),
+           qmasm.RunConfig(backend="circuit", timing=timing,
+                           post_select={("c", 0): 1}))
+    yield ("prefix-division-by-zero",
+           HEADER + "qubit[1] q;\nbit[1] c;\nint k = 0;\nh q;\nint j = 3 / k;\n"
+           "measure q -> c[0];\n", qmasm.RunConfig(timing=timing))
+    yield ("prefix-step-budget",
+           HEADER + "qubit[1] q;\nbit[1] c;\nint j = 0;\n"
+           "while (j < 100) { h q; j = j + 1; }\nmeasure q -> c[0];\n",
+           qmasm.RunConfig(max_steps=50))
+    yield ("declarations-only-prefix",
+           HEADER + "qubit[2] q;\nbit[2] c;\nif (c[0] == 0) { h q; measure q[0] -> c[0]; }\n"
+           "h q[1];\nmeasure q -> c;\n", qmasm.RunConfig())
+
+
+FORK_CASES = list(fork_cases())
+
+
+def outcome(fn):
+    """The results, or the type and message of the exception raised."""
+    try:
+        return fn()
+    except QmemError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def shot_fields(r):
+    return (r.status, r.error, r.classical, r.shot_log, r.trace,
+            r.final_state.amps.tobytes(), r.memory_dump, r.timeline,
+            r.fidelity_estimate, r.warnings, r.num_qubits)
+
+
+class TestShotFork:
+    """run_shots runs the RNG-free prefix once; each shot must still equal a
+    from-scratch run of the whole program with its own seed."""
+
+    SHOTS = 4
+
+    @pytest.mark.parametrize("name, src, config", FORK_CASES,
+                             ids=[c[0] for c in FORK_CASES])
+    def test_shots_equal_from_scratch_runs(self, name, src, config):
+        program = qmasm.parse_program(src)
+        seed = 40
+        forked = outcome(lambda: qmasm.run_shots(program, seed, self.SHOTS, config))
+        scratch = outcome(lambda: [qmasm.execute(program, seed + i, config)
+                                   for i in range(self.SHOTS)])
+        if isinstance(scratch, str):
+            assert forked == scratch
+            return
+        assert [shot_fields(r) for r in forked] == [shot_fields(r) for r in scratch]
+        for a, b in itertools.combinations(forked, 2):
+            assert not np.shares_memory(a.final_state.amps, b.final_state.amps)
+            for field in ("trace", "timeline", "warnings", "shot_log"):
+                assert getattr(a, field) is not getattr(b, field)
+
+    def test_prefix_errors_reach_every_shot(self):
+        cases = {c[0]: c for c in FORK_CASES}
+        for name, message in (("prefix-division-by-zero", "division by zero"),
+                              ("prefix-step-budget", "instruction budget")):
+            _, src, config = cases[name]
+            results = qmasm.run_shots(qmasm.parse_program(src), 7, 3, config)
+            assert [r.status for r in results] == ["error"] * 3
+            assert all(message in r.error for r in results)
+            assert [r.shot_log[0]["shot"] for r in results] == [7, 8, 9]
+
+    def test_prefix_stops_at_first_rng_statement(self):
+        cases = {c[0]: c for c in FORK_CASES}
+        program = qmasm.parse_program(cases["declarations-only-prefix"][1])
+        assert interpreter._rng_free_prefix(program.body) == 2
+        src = assets.example_path("qft_amplitude_clean.qmasm").read_text()
+        body = qmasm.parse_program(src).body
+        split = interpreter._rng_free_prefix(body)
+        assert isinstance(body[split], nodes.Measure)
+        assert interpreter._rng_free_prefix(body[:split]) == split
+
+    @pytest.mark.parametrize("src, config", [
+        (assets.example_path("qft_amplitude_clean.qmasm").read_text(), qmasm.RunConfig()),
+        (circuit_qld_source(1), qmasm.RunConfig(backend="circuit")),
+    ])
+    def test_fork_shares_no_mutable_object(self, src, config):
+        program = qmasm.parse_program(src)
+        base = interpreter._Interpreter(program, 0, config)
+        base.run(program.body[:interpreter._rng_free_prefix(program.body)])
+        other = base.fork()
+        assert not np.shares_memory(base.state.amps, other.state.amps)
+        for field in ("trace", "timeline", "measurements", "warnings", "ints", "bits",
+                      "gate_defs", "cell_busy_since", "cell_busy_total", "qrams"):
+            assert getattr(base, field) is not getattr(other, field)
+        assert base.bits and all(base.bits[k] is not other.bits[k] for k in base.bits)
+        if base.mem is not None:
+            assert base.mem is not other.mem
+            assert base.mem.cell_status is not other.mem.cell_status
+        for name, binding in base.qrams.items():
+            device = other.qrams[name].device
+            assert binding.device is not device
+            assert binding.device.classical_data is not device.classical_data

@@ -48,6 +48,20 @@ class TestQinitLoad:
         assert abs(state.probability(5, 0) - 1) < 1e-12
         assert abs(state.probability(6, 1) - 1) < 1e-12
 
+    def test_materialized_flips_equal_dense_x(self):
+        # a full-support state, so every amplitude moves
+        dev, state = lean_setup(2, materialize=True)
+        rng = np.random.default_rng(5)
+        size = state.amps.size
+        state.amps[:] = rng.normal(size=size) + 1j * rng.normal(size=size)
+        dense = state.copy()
+        data = [1, 0, 1, 1]
+        qram.qinit_load(dev, data, state)
+        for q, b in zip(dev.memory_qubits, data):
+            if b:
+                sv.apply_gate(dense, sv.gate("x", (q,)))
+        assert np.array_equal(state.amps, dense.amps)
+
     def test_length_mismatch(self):
         dev, _ = lean_setup(2)
         with pytest.raises(ArgumentError, match="expected 4"):

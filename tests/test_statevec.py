@@ -125,6 +125,13 @@ class TestMeasurement:
             sv.postselect_qubit(s, 0, 1)
         assert exc.value.probability < 1e-12
 
+    def test_zero_probability_projection_leaves_state(self):
+        s = bell_state()
+        before = s.amps.copy()
+        with pytest.raises(PostSelectionError):
+            sv._project(s, 1, 1, 0.0)
+        assert np.array_equal(s.amps, before)
+
     def test_born_statistics_seeded(self):
         rng = np.random.default_rng(7)
         ones = 0
@@ -351,3 +358,63 @@ class TestDump:
     def test_small_amplitudes_omitted(self):
         s = sv.init_state(1, 0)
         assert len(sv.dump_state(s)) == 1
+
+
+def inspected_path(mat):
+    """The kernel path the matrix itself calls for."""
+    if sv._is_permutation(mat):
+        return "perm"
+    if sv._is_diagonal(mat):
+        return "diag"
+    return "dense"
+
+
+NAN = float("nan")
+PATH_GATES = [
+    sv.gate("h", (0,)), sv.gate("x", (0,)), sv.gate("cnot", (0, 1)),
+    sv.gate("swap", (0, 1)),
+    sv.gate("u", (0,), (0.0, 0.0, 0.0)), sv.gate("u", (0,), (-0.0, 0.0, 0.0)),
+    sv.gate("u", (0,), (0.0, 1.1, -1.1)), sv.gate("u", (0,), (0.0, 0.0, 0.7)),
+    sv.gate("u", (0,), (0.0, 0.4, 0.7)), sv.gate("u", (0,), (0.3, 1.1, -0.7)),
+    sv.gate("u", (0,), (math.pi, 0.0, math.pi)), sv.gate("u", (0,), (2 * math.pi, 0.0, 0.0)),
+    sv.gate("u", (0,), (NAN, 0.0, 0.0)), sv.gate("u", (0,), (0.0, NAN, 0.0)),
+    sv.gate("u", (0,), (0.0, 0.0, NAN)),
+    *(sv.gate("rk", (0,), (k,)) for k in range(1, 9)),
+]
+
+
+class TestKernelPath:
+    @pytest.mark.parametrize("g", PATH_GATES, ids=lambda g: f"{g.kind}{g.params}")
+    def test_decision_equals_matrix_inspection(self, g):
+        mat = g.matrix()
+        path, rows = sv._kernel_path(g.kind, mat)
+        want = inspected_path(mat)
+        if want == "perm" and np.array_equal(mat, np.eye(len(mat))) and g.kind in ("u", "rk"):
+            # the identity: the diagonal path leaves the state alone too
+            assert (path, rows) == ("diag", None)
+        else:
+            assert path == want
+        if path == "perm":
+            assert rows == tuple(int(np.argmax(np.abs(mat[:, j]))) for j in range(len(mat)))
+
+    @pytest.mark.parametrize("g", PATH_GATES, ids=lambda g: f"{g.kind}{g.params}")
+    def test_results_equal_inspecting_kernel(self, g, monkeypatch):
+        rng = np.random.default_rng(3)
+        n = 4
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        for controls in ((), (3,), (2, 3)):
+            spec = sv.GateSpec(g.kind, g.targets, g.params, controls, (0,) * len(controls))
+            decided = sv.StateVector(n, amps.copy())
+            sv.apply_gate(decided, spec)
+            with monkeypatch.context() as m:
+                m.setattr(sv, "_kernel_path", lambda kind, mat: sv._inspect(mat))
+                inspected = sv.StateVector(n, amps.copy())
+                sv.apply_gate(inspected, spec)
+            assert decided.amps.tobytes() == inspected.amps.tobytes()
+
+    def test_no_cache_grows_with_angles(self):
+        rng = np.random.default_rng(0)
+        s = sv.init_state(1)
+        for params in rng.uniform(0, 2 * math.pi, size=(10_000, 3)):
+            sv.apply_gate(s, sv.gate("u", (0,), params))
+        assert set(sv._FIXED_PATHS) == {"h", "x", "cnot", "swap"}
