@@ -81,6 +81,9 @@ def cmd_run(args) -> int:
     if args.shots < 1:
         print("error: --shots must be >= 1", file=sys.stderr)
         return 1
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 1
     declared_bits = _declared_bits(program.body)
     post_select = {}
     for spec in args.post_select:

@@ -276,7 +276,7 @@ class _Interpreter:
         status = "ok" if self.error is None else "error"
         if self.config.timing and self.mem and self.mem.timing \
                 and self.mem.timing.t_storage:
-            for cell, since in self.cell_busy_since.items():
+            for cell in list(self.cell_busy_since):  # released cells are popped
                 self._cell_release(cell)
             for cell, total in self.cell_busy_total.items():
                 self.fidelity *= math.exp(-total / self.mem.timing.t_storage)

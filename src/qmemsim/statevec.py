@@ -10,6 +10,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -158,6 +159,14 @@ def apply_gate(state: StateVector, g: GateSpec) -> StateVector:
     Works on strided views of the amplitude tensor, with fast paths for
     permutation matrices (X/CNOT/SWAP families) and diagonal matrices
     (phase gates), so no index arrays are ever materialized.
+
+    The permutation and dense paths copy their inputs one block of at most
+    _DENSE_BLOCK amplitudes per view at a time (see _blocks), so every
+    temporary stays cache-sized whatever the state size; a view that fits in
+    one block is processed whole. Each output amplitude gets the same
+    element-wise arithmetic on the same contiguous copies as when the whole
+    view is copied at once (m[i,0]*in_0, then += m[i,j]*in_j for each
+    nonzero m[i,j]), so the result is the same bit for bit.
     """
     n = state.num_qubits
     _check_gate_qubits(n, g)
@@ -188,35 +197,65 @@ def apply_gate(state: StateVector, g: GateSpec) -> StateVector:
         base[axis_of[q]] = v
     target_axes = [axis_of[q] for q in g.targets]
 
-    def view(combo):
+    def view(combo, block=()):
         idx = list(base)
         for i, ax in enumerate(target_axes):
             idx[ax] = (combo >> (k - 1 - i)) & 1
-        return psi[tuple(idx)]
+        v = psi[tuple(idx)]
+        return v[block] if block else v
 
     dim = 1 << k
     path, rows = _kernel_path(g.kind, mat)
-    if path == "perm":
-        moved = {}
-        for src, dst in enumerate(rows):
-            if dst != src:
-                moved[dst] = view(src).copy()
-        for dst, data in moved.items():
-            view(dst)[...] = data
-    elif path == "diag":
+    if path == "diag":
         for j in range(dim):
             d = mat[j, j]
             if d != 1:
                 view(j)[...] *= d
-    else:
-        inputs = [view(j).copy() for j in range(dim)]
-        for i in range(dim):
-            acc = mat[i, 0] * inputs[0]
-            for j in range(1, dim):
-                if mat[i, j] != 0:
-                    acc += mat[i, j] * inputs[j]
-            view(i)[...] = acc
+        return state
+    # A view spans the untouched runs dims[::2]: 2^(n - len(special)) amplitudes.
+    fits = 1 << (n - len(special)) <= _DENSE_BLOCK
+    for block in ((),) if fits else _blocks(dims[::2]):
+        if path == "perm":
+            moved = {}
+            for src, dst in enumerate(rows):
+                if dst != src:
+                    moved[dst] = view(src, block).copy()
+            for dst, data in moved.items():
+                view(dst, block)[...] = data
+        else:
+            inputs = [view(j, block).copy() for j in range(dim)]
+            for i in range(dim):
+                acc = mat[i, 0] * inputs[0]
+                for j in range(1, dim):
+                    if mat[i, j] != 0:
+                        acc += mat[i, j] * inputs[j]
+                view(i, block)[...] = acc
     return state
+
+
+# The most amplitudes apply_gate copies out of one view at once: 128 KiB per
+# temporary, which stays in cache and is reused from the heap, where a whole
+# view of a 22-qubit state would fault in 32 MiB of fresh pages.
+_DENSE_BLOCK = 1 << 13
+
+
+def _blocks(shape):
+    """Index tuples that cut an array of this shape (powers of two) into
+    blocks of at most _DENSE_BLOCK elements, in C order.
+
+    Leading axes are taken one index at a time until the axes after one fit
+    in a block; that axis is cut into equal chunks and the later ones are
+    kept whole, so each block is one run of the array's C order.
+    """
+    inner = math.prod(shape)
+    cuts = []
+    for size in shape:
+        inner //= size
+        if inner <= _DENSE_BLOCK:
+            step = _DENSE_BLOCK // inner
+            cuts.append([slice(s, s + step) for s in range(0, size, step)])
+            return itertools.product(*cuts)
+        cuts.append(range(size))
 
 
 def _check_gate_qubits(n, g: GateSpec):

@@ -72,6 +72,13 @@ class TestRun:
         assert err.startswith("error: bad post-select spec")
         assert "Traceback" not in err
 
+    def test_negative_seed_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "run", "examples/bell_store.qmasm",
+                                 "--seed", "-1")
+        assert code == 1
+        assert err == "error: --seed must be >= 0\n"
+        assert out == ""
+
     def test_division_by_zero_exits_2(self, capsys, tmp_path):
         src = tmp_path / "div.qmasm"
         src.write_text("OPENQASM 3;\nqubit[1] q;\nint k = 0;\nint j = 3 / k;\n")

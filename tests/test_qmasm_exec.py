@@ -207,6 +207,17 @@ class TestErrorsAndConfig:
         # cell occupied for 5 gate times = 5us; decay exp(-0.5)
         assert res.fidelity_estimate == pytest.approx(math.exp(-0.5), rel=1e-6)
 
+    def test_idle_decay_of_cells_still_occupied_at_the_end(self):
+        timing = qmasm.TimingProfile(raqm=memdev.RaqmTiming(0.0, 1e-6, t_storage=10e-6))
+        res = run(HEADER + "qubit[2] q;\nmem 2;\nst [0] = q;\nx q;\n", timing=timing)
+        assert res.status == "ok"
+        t, _, d = res.timeline[-1]
+        end = t + d
+        stored = [t + d for t, op, d in res.timeline if op == "st"]
+        assert len(stored) == 2
+        want = math.prod(math.exp(-(end - since) / 10e-6) for since in stored)
+        assert res.fidelity_estimate == pytest.approx(want, rel=1e-12)
+
 
 class TestFlattenedTraceEquivalence:
     def straight_line_sources(self):

@@ -418,3 +418,159 @@ class TestKernelPath:
         for params in rng.uniform(0, 2 * math.pi, size=(10_000, 3)):
             sv.apply_gate(s, sv.gate("u", (0,), params))
         assert set(sv._FIXED_PATHS) == {"h", "x", "cnot", "swap"}
+
+
+def whole_view_apply(state, g):
+    """The whole-view kernel: apply_gate with every view of the permutation
+    and dense paths copied at once. The reference that the blocked kernel
+    must equal byte for byte."""
+    n = state.num_qubits
+    mat = g.matrix()
+    k = len(g.targets)
+    special = sorted(set(g.targets) | set(g.controls), reverse=True)
+    dims, axis_of, prev = [], {}, n
+    for b in special:
+        dims.append(1 << (prev - b - 1))
+        axis_of[b] = len(dims)
+        dims.append(2)
+        prev = b
+    dims.append(1 << prev)
+    psi = state.amps.reshape(dims)
+    base = [slice(None)] * len(dims)
+    for q, v in zip(g.controls, g.values()):
+        base[axis_of[q]] = v
+
+    def view(combo):
+        idx = list(base)
+        for i, q in enumerate(g.targets):
+            idx[axis_of[q]] = (combo >> (k - 1 - i)) & 1
+        return psi[tuple(idx)]
+
+    dim = 1 << k
+    path, rows = sv._kernel_path(g.kind, mat)
+    if path == "perm":
+        moved = {}
+        for src, dst in enumerate(rows):
+            if dst != src:
+                moved[dst] = view(src).copy()
+        for dst, data in moved.items():
+            view(dst)[...] = data
+    elif path == "diag":
+        for j in range(dim):
+            if mat[j, j] != 1:
+                view(j)[...] *= mat[j, j]
+    else:
+        inputs = [view(j).copy() for j in range(dim)]
+        for i in range(dim):
+            acc = mat[i, 0] * inputs[0]
+            for j in range(1, dim):
+                if mat[i, j] != 0:
+                    acc += mat[i, j] * inputs[j]
+            view(i)[...] = acc
+    return state
+
+
+KIND_PARAMS = {"h": (), "x": (), "cnot": (), "swap": (), "u": (0.3, 1.1, -0.7), "rk": (3,)}
+
+
+def placed_gates(n):
+    """Every kind with 0-2 controls (mixed values), with the touched qubits at
+    the bottom, the top, and both ends of the register, so that the longest
+    untouched run is the last axis, the first, or one between touched qubits;
+    and spread out, so that several untouched runs are long."""
+    placements = {
+        "low": [0, 1, 2, 3],
+        "high": [n - 1, n - 2, n - 3, n - 4],
+        "ends": [0, n - 1, 1, n - 2],
+        "spread": [3 * n // 4, n // 4, n // 2, 0],
+    }
+    gates = []
+    for kind, params in KIND_PARAMS.items():
+        width = 2 if kind in ("cnot", "swap") else 1
+        for qubits in placements.values():
+            for nc in range(3):
+                gates.append(sv.gate(kind, qubits[:width], params,
+                                     qubits[width:width + nc], (0, 1)[:nc]))
+    return gates
+
+
+def random_amps(n, seed=0):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return amps / np.linalg.norm(amps)
+
+
+def full_matrix(n, g):
+    """The 2^n x 2^n unitary of a (controlled) gate, built with np.kron."""
+    def embedded(ops):
+        m = np.ones((1, 1))
+        for q in reversed(range(n)):  # qubit 0 is the least significant
+            m = np.kron(m, ops.get(q, np.eye(2)))
+        return m
+
+    def unit(r, c):
+        e = np.zeros((2, 2))
+        e[r, c] = 1
+        return e
+
+    mat = g.matrix()
+    k = len(g.targets)
+    ctrl = {q: unit(v, v) for q, v in zip(g.controls, g.values())}
+    full = np.eye(1 << n) - embedded(ctrl)
+    for r, c in zip(*np.nonzero(mat)):
+        ops = dict(ctrl)
+        for i, q in enumerate(g.targets):
+            ops[q] = unit((r >> (k - 1 - i)) & 1, (c >> (k - 1 - i)) & 1)
+        full = full + mat[r, c] * embedded(ops)
+    return full
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("n", [4, 9, 14, 15, 17, 20])
+    def test_equals_whole_view_kernel_bytewise(self, n):
+        amps = random_amps(n)
+        for g in placed_gates(n):
+            blocked = sv.apply_gate(sv.StateVector(n, amps.copy()), g)
+            whole = whole_view_apply(sv.StateVector(n, amps.copy()), g)
+            assert blocked.amps.tobytes() == whole.amps.tobytes(), g
+
+    @pytest.mark.parametrize("controls", [(), (14,), (3, 14)])
+    def test_identity_permutation_leaves_state_alone(self, controls, monkeypatch):
+        # U(0,0,0) is the identity, which the matrix-inspecting kernel sends
+        # down the permutation path with no view to move.
+        monkeypatch.setattr(sv, "_kernel_path", lambda kind, mat: sv._inspect(mat))
+        g = sv.gate("u", (0,), (0.0, 0.0, 0.0), controls, (1, 0)[:len(controls)])
+        assert sv._kernel_path(g.kind, g.matrix()) == ("perm", (0, 1))
+        amps = random_amps(15)
+        s = sv.apply_gate(sv.StateVector(15, amps.copy()), g)
+        assert s.amps.tobytes() == amps.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_matches_kron_matrix(self, n):
+        amps = random_amps(n, seed=n)
+        for g in placed_gates(n):
+            s = sv.apply_gate(sv.StateVector(n, amps.copy()), g)
+            assert np.max(np.abs(s.amps - full_matrix(n, g) @ amps)) < 1e-12, g
+
+    def test_no_half_state_temporaries(self):
+        import tracemalloc
+
+        n = 20  # 16 MiB of amplitudes; a half-state copy is 8 MiB
+        s = sv.StateVector(n, random_amps(n))
+        for g in placed_gates(n):
+            tracemalloc.start()
+            try:
+                sv.apply_gate(s, g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 << 20, (g, peak)
+
+    @pytest.mark.parametrize("shape", [(1,), (8192,), (16384,), (2, 8192), (1 << 12, 1 << 11),
+                                       (4, 2, 1 << 14), (1 << 14, 4, 1)])
+    def test_blocks_tile_the_array(self, shape):
+        seen = np.zeros(shape, dtype=int)
+        for block in sv._blocks(shape):
+            assert seen[block].size <= sv._DENSE_BLOCK
+            seen[block] += 1
+        assert (seen == 1).all()
