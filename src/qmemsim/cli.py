@@ -7,6 +7,7 @@ failures); 2 runtime errors (missing files, aborted shots).
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import sys
 
@@ -16,6 +17,7 @@ from . import assets
 from . import metrics as metrics_mod
 from . import qmasm, qram
 from . import statevec as sv
+from .qmasm import nodes
 from .errors import (ArgumentError, DatasetError, ParseError, QmemError, ResourceError,
                      ValidationFailure)
 
@@ -84,7 +86,8 @@ def cmd_run(args) -> int:
     if args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
         return 1
-    declared_bits = _declared_bits(program.body)
+    declared_bits = {stmt.name: stmt.size for stmt in nodes.walk(program.body)
+                     if isinstance(stmt, nodes.BitDecl)}
     post_select = {}
     for spec in args.post_select:
         try:
@@ -103,17 +106,30 @@ def cmd_run(args) -> int:
         timing=qmasm.TimingProfile() if args.timeline else None,
     )
 
+    # Shots are tallied as they arrive and only the last result is kept, so
+    # memory does not grow with --shots. (No enumerate: its cached tuple
+    # would keep the previous result alive while the next shot runs.)
+    counts = collections.defaultdict(collections.Counter)  # register -> bitstrings
+    failed = []
+    remaining = args.shots
     try:
-        results = qmasm.run_shots(program, args.seed, args.shots, config)
+        for result in qmasm.iter_shots(program, args.seed, args.shots, config):
+            remaining -= 1
+            if result.status != "ok":
+                failed.append(f"shot {result.shot_log[0]['shot']}: {result.error}")
+            for name, value in result.classical.items():
+                if isinstance(value, list):
+                    counts[name].update(qmasm.aggregate_counts([result], name))
+            if not remaining:
+                last = result
+            del result
     except (ValidationFailure, ResourceError, QmemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    failed = [r for r in results if r.status != "ok"]
-    last = results[-1]
-    print(f"shots: {len(results)}  seed: {args.seed}  failed: {len(failed)}")
-    for r in failed:
-        print(f"shot {r.shot_log[0]['shot']}: {r.error}", file=sys.stderr)
+    print(f"shots: {args.shots}  seed: {args.seed}  failed: {len(failed)}")
+    for line in failed:
+        print(line, file=sys.stderr)
 
     if args.shots == 1:
         for name, value in sorted(last.classical.items()):
@@ -127,8 +143,7 @@ def cmd_run(args) -> int:
             print(f"fidelity-vs-oracle: {fid:.12f}")
     else:
         for name in sorted(k for k, v in last.classical.items() if isinstance(v, list)):
-            counts = qmasm.aggregate_counts(results, name)
-            rendered = " ".join(f"{k}:{v}" for k, v in sorted(counts.items()))
+            rendered = " ".join(f"{k}:{v}" for k, v in sorted(counts[name].items()))
             print(f"counts[{name}]: {rendered}")
 
     if args.dump_memory and last.memory_dump:
@@ -206,21 +221,6 @@ def _rounded(row):
     for key, value in row.items():
         out[key] = f"{value:.6g}" if isinstance(value, float) else value
     return out
-
-
-def _declared_bits(stmts) -> dict:
-    from .qmasm import nodes
-
-    found = {}
-    for stmt in stmts:
-        if isinstance(stmt, nodes.BitDecl):
-            found[stmt.name] = stmt.size
-        elif isinstance(stmt, nodes.If):
-            found.update(_declared_bits(stmt.then))
-            found.update(_declared_bits(stmt.orelse))
-        elif isinstance(stmt, (nodes.For, nodes.While)):
-            found.update(_declared_bits(stmt.body))
-    return found
 
 
 def cmd_qram_check(args) -> int:

@@ -46,7 +46,10 @@ class RunConfig:
     timing: TimingProfile | None = None
     store_policy: str = "swap"
     max_steps: int = 1_000_000
-    max_qubits: int = sv.DEFAULT_MAX_QUBITS
+
+    def __post_init__(self):
+        if self.backend not in ("functional", "circuit"):
+            raise ArgumentError(f"unknown backend {self.backend!r}")
 
 
 def parse_post_select(text: str) -> tuple[str, int, int]:
@@ -99,17 +102,26 @@ def execute(program: n.Program, seed: int, config: RunConfig | None = None) -> R
 
 def run_shots(program: n.Program, seed: int, shots: int,
               config: RunConfig | None = None) -> list[RunResult]:
-    """Independent shots with seeds seed, seed+1, ... (deterministic).
+    """`list(iter_shots(program, seed, shots, config))`."""
+    return list(iter_shots(program, seed, shots, config))
 
-    The program is validated once. Its leading top-level statements that
-    contain no measure, reset or mreset anywhere inside them draw nothing
-    from the RNG, so they run once; every shot then continues from a copy of
-    that point with its own `default_rng(seed + i)` (the last shot takes the
-    original). Each shot's result is identical to running the whole program
-    from scratch with its seed, including a shot error raised in the prefix.
+
+def iter_shots(program: n.Program, seed: int, shots: int,
+               config: RunConfig | None = None):
+    """Independent shots with seeds seed, seed+1, ... (deterministic), yielded
+    one RunResult at a time: a caller that drops each result before asking
+    for the next holds at most two states, the shared prefix and one shot.
+
+    The program is validated once, when the first result is asked for. Its
+    leading top-level statements that contain no measure, reset or mreset
+    anywhere inside them draw nothing from the RNG, so they run once; every
+    shot then continues from a copy of that point with its own
+    `default_rng(seed + i)` (the last shot takes the original). Each shot's
+    result is identical to running the whole program from scratch with its
+    seed, including a shot error raised in the prefix.
     """
     if shots < 1:
-        return []
+        return
     config = config or RunConfig()
     diagnostics = validate(program)
     if has_errors(diagnostics):
@@ -117,13 +129,10 @@ def run_shots(program: n.Program, seed: int, shots: int,
     split = _rng_free_prefix(program.body)
     prefix = _Interpreter(program, seed, config)
     prefix.run(program.body[:split])
-    results = []
     for i in range(shots):
-        shot = prefix if i == shots - 1 else prefix.fork()
-        shot.reseed(seed + i)
-        shot.run(program.body[split:])
-        results.append(shot.result())
-    return results
+        # no name here holds the shot, so a dropped result frees its state
+        yield (prefix if i == shots - 1 else prefix.fork()).finish(
+            seed + i, program.body[split:])
 
 
 def aggregate_counts(results, reg: str) -> dict:
@@ -188,7 +197,7 @@ class _Interpreter:
         labels = []
         mem_size = 0
         qram_decls = []
-        for stmt in _iter_all(self.program.body):
+        for stmt in n.walk(self.program.body):
             if isinstance(stmt, n.QubitDecl):
                 self.qregs[stmt.name] = list(range(cursor, cursor + stmt.size))
                 labels += [f"{stmt.name}[{i}]" for i in range(stmt.size)]
@@ -207,8 +216,7 @@ class _Interpreter:
                                          store_policy=self.config.store_policy)
 
         for decl in qram_decls:
-            device = qram.QramDevice(addr_len=decl.addr_len, word_len=decl.word_len,
-                                     backend=self.config.backend)
+            device = qram.QramDevice(addr_len=decl.addr_len, word_len=decl.word_len)
             layout = None
             if self.config.backend == "circuit":
                 if decl.addr_len > qram.MAX_CIRCUIT_ADDR_BITS:
@@ -228,9 +236,9 @@ class _Interpreter:
 
         if cursor == 0:
             raise ArgumentError("program declares no qubits")
-        if cursor > self.config.max_qubits:
+        if cursor > sv.DEFAULT_MAX_QUBITS:
             raise ResourceError(
-                f"program needs {cursor} qubits; budget is {self.config.max_qubits}")
+                f"program needs {cursor} qubits; budget is {sv.DEFAULT_MAX_QUBITS}")
         self.state = sv.init_state(cursor, labels=labels)
 
     # -- execution ----------------------------------------------------------
@@ -262,6 +270,12 @@ class _Interpreter:
                 device.classical_data = list(device.classical_data)
             other.qrams[name] = _QramBinding(device, binding.layout)
         return other
+
+    def finish(self, seed, stmts) -> RunResult:
+        """Reseed, run the rest of the shot and return its result."""
+        self.reseed(seed)
+        self.run(stmts)
+        return self.result()
 
     def run(self, stmts):
         """Execute top-level statements, unless a shot error stopped the shot."""
@@ -352,17 +366,11 @@ class _Interpreter:
             return
         if isinstance(stmt, n.ResetStmt):
             for q in self._resolve_qubits(stmt.qarg):
-                outcome, _ = sv.measure_qubit(self.state, q, self.rng)
-                self.trace.append(("measure", q, outcome, None, False))
-                if outcome:
-                    self._apply(sv.gate("x", (q,)))
+                self._reset(q)
                 self._tick("reset", self._gate_time())
             return
-        if isinstance(stmt, n.Load):
-            self._load_store(stmt.qarg, stmt.addr, store=False)
-            return
-        if isinstance(stmt, n.Store):
-            self._load_store(stmt.qarg, stmt.addr, store=True)
+        if isinstance(stmt, (n.Load, n.Store)):
+            self._load_store(stmt.qarg, stmt.addr, store=isinstance(stmt, n.Store))
             return
         if isinstance(stmt, n.MResetStmt):
             self._mreset(stmt)
@@ -432,39 +440,26 @@ class _Interpreter:
 
     # -- registers -----------------------------------------------------------
 
+    def _select(self, arg: n.QArg, reg, kind) -> slice:
+        """The part of `reg` that `r`, `r[i]` or `r[a:b]` selects."""
+        if reg is None:
+            raise ShotError(f"undeclared {kind} register {arg.name!r} at {arg.pos}")
+        if arg.index is not None:
+            idx = int(self._eval(arg.index))
+            if not 0 <= idx < len(reg):
+                raise ShotError(f"index {idx} out of range for {arg.name} at {arg.pos}")
+            return slice(idx, idx + 1)
+        if arg.slice is not None:
+            start = int(self._eval(arg.slice[0]))
+            end = len(reg) - 1 if arg.slice[1] is None else int(self._eval(arg.slice[1]))
+            if not (0 <= start <= end < len(reg)):
+                raise ShotError(f"slice [{start}:{end}] out of range for {arg.name}")
+            return slice(start, end + 1)
+        return slice(None)
+
     def _resolve_qubits(self, arg: n.QArg) -> list[int]:
         reg = self.qregs.get(arg.name)
-        if reg is None:
-            raise ShotError(f"undeclared qubit register {arg.name!r} at {arg.pos}")
-        if arg.index is not None:
-            idx = int(self._eval(arg.index))
-            if not 0 <= idx < len(reg):
-                raise ShotError(f"index {idx} out of range for {arg.name} at {arg.pos}")
-            return [reg[idx]]
-        if arg.slice is not None:
-            start = int(self._eval(arg.slice[0]))
-            end = len(reg) - 1 if arg.slice[1] is None else int(self._eval(arg.slice[1]))
-            if not (0 <= start <= end < len(reg)):
-                raise ShotError(f"slice [{start}:{end}] out of range for {arg.name}")
-            return reg[start:end + 1]
-        return list(reg)
-
-    def _resolve_bits(self, arg: n.QArg) -> list[tuple[str, int]]:
-        reg = self.bits.get(arg.name)
-        if reg is None:
-            raise ShotError(f"undeclared bit register {arg.name!r} at {arg.pos}")
-        if arg.index is not None:
-            idx = int(self._eval(arg.index))
-            if not 0 <= idx < len(reg):
-                raise ShotError(f"index {idx} out of range for {arg.name} at {arg.pos}")
-            return [(arg.name, idx)]
-        if arg.slice is not None:
-            start = int(self._eval(arg.slice[0]))
-            end = len(reg) - 1 if arg.slice[1] is None else int(self._eval(arg.slice[1]))
-            if not (0 <= start <= end < len(reg)):
-                raise ShotError(f"slice [{start}:{end}] out of range for {arg.name}")
-            return [(arg.name, i) for i in range(start, end + 1)]
-        return [(arg.name, i) for i in range(len(reg))]
+        return reg[self._select(arg, reg, "qubit")]
 
     # -- unitaries ------------------------------------------------------------
 
@@ -482,9 +477,14 @@ class _Interpreter:
         self.clock += duration
         self.fidelity *= fidelity
 
-    def _gate_call(self, stmt: n.GateCall, extra_controls=(), env=None):
+    def _gate_call(self, stmt: n.GateCall, extra_controls=(), env=None, mapping=None):
+        """Apply a gate call, broadcast over register arguments. Inside a gate
+        body, `mapping` binds the gate's argument names to qubits."""
         params = [self._eval(p, env) for p in stmt.params]
-        arg_qubits = [self._resolve_qubits(a) for a in stmt.args]
+        if mapping is None:
+            arg_qubits = [self._resolve_qubits(a) for a in stmt.args]
+        else:
+            arg_qubits = [[mapping[a.name]] for a in stmt.args]
         width = max(len(a) for a in arg_qubits)
         for a in arg_qubits:
             if len(a) not in (1, width):
@@ -523,11 +523,7 @@ class _Interpreter:
             if isinstance(stmt, n.AngleDecl):
                 env[stmt.name] = self._eval(stmt.expr, env)
             elif isinstance(stmt, n.GateCall):
-                inner_params = [self._eval(p, env) for p in stmt.params]
-                qubits = [mapping[a.name] for a in stmt.args]
-                inner_controls = tuple(controls) + tuple(qubits[:stmt.nctrl])
-                self._apply_named(stmt.name, inner_params, qubits[stmt.nctrl:],
-                                  inner_controls, stmt.pos)
+                self._gate_call(stmt, controls, env, mapping)
             else:
                 raise ShotError(f"bad statement in gate body of {gd.name!r}")
 
@@ -535,10 +531,12 @@ class _Interpreter:
 
     def _measure(self, stmt: n.Measure):
         qubits = self._resolve_qubits(stmt.qarg)
-        bits = self._resolve_bits(stmt.carg)
+        reg = stmt.carg.name
+        chosen = self._select(stmt.carg, self.bits.get(reg), "bit")
+        bits = range(len(self.bits[reg]))[chosen]
         if len(qubits) != len(bits):
             raise ShotError(f"measure width mismatch at {stmt.pos}")
-        for q, (reg, idx) in zip(qubits, bits):
+        for q, idx in zip(qubits, bits):
             forced = self.config.post_select.get((reg, idx))
             if forced is None:
                 p1 = self.state.probability(q, 1)
@@ -554,6 +552,14 @@ class _Interpreter:
             self.trace.append(("measure", q, outcome, prob, forced is not None))
             self._tick(f"measure:{reg}[{idx}]",
                        self.config.timing.measure_time if self.config.timing else 0.0)
+
+    def _reset(self, q):
+        """Measure-and-reset one qubit to |0>, recorded as a measurement and,
+        if the outcome was 1, an X."""
+        outcome = sv.reset_qubit(self.state, q, self.rng)
+        self.trace.append(("measure", q, outcome, None, False))
+        if outcome:
+            self.trace.append(("gate", sv.gate("x", (q,))))
 
     # -- memory primitives -------------------------------------------------------
 
@@ -579,8 +585,7 @@ class _Interpreter:
         base = int(self._eval(addr_expr))
         fid = self.config.timing.raqm_fidelity if self.config.timing else 1.0
         for i, q in enumerate(qubits):
-            addr = base + i
-            self.mem.check_addr(addr)
+            addr = base + i  # raqm_store/raqm_load check it
             if store:
                 memdev.raqm_store(self.mem, self.state, addr, q)
             else:
@@ -600,11 +605,7 @@ class _Interpreter:
         if addr is not None:
             self.mem.check_addr(addr)
         for a in targets:
-            q = self.mem.cell_qubits[a]
-            outcome, _ = sv.measure_qubit(self.state, q, self.rng)
-            self.trace.append(("measure", q, outcome, None, False))
-            if outcome:
-                self._apply(sv.gate("x", (q,)))
+            self._reset(self.mem.cell_qubits[a])
             self.mem.cell_status[a] = memdev.RESET
             self._cell_release(a)
             self._tick("mreset", self._raqm_duration())
@@ -621,16 +622,11 @@ class _Interpreter:
                 raise ShotError(f"qinit source {stmt.source.id!r} not initialized")
         else:
             data = stmt.source
-        if binding.layout is not None:
-            before = binding.device.classical_data
-            if before is not None:
-                raise ShotError("circuit backend does not support re-running qinit")
-            qram.qinit_load(binding.device, data, self.state)
-            for q, b in zip(binding.device.memory_qubits, data):
-                if b:
-                    self.trace.append(("gate", sv.gate("x", (q,))))
-        else:
-            qram.qinit_load(binding.device, data)
+        if binding.layout is not None and binding.device.classical_data is not None:
+            raise ShotError("circuit backend does not support re-running qinit")
+        # only the circuit backend materializes cells; the functional one has none
+        qram.qinit_load(binding.device, data, self.state)
+        self.trace.extend(("gate", g) for g in qram.qinit_gates(binding.device))
         self._tick(f"qinit:{stmt.name}", self._gate_time())
 
     def _qload(self, stmt):
@@ -641,7 +637,13 @@ class _Interpreter:
         addr = self._resolve_qubits(stmt.addr)
         device = binding.device
         if binding.layout is None:
-            for g in _oracle_gates(device, tuple(addr), tuple(bus)):
+            if device.classical_data is None:
+                raise ShotError("qld before qinit")
+            if len(addr) != device.addr_len or len(bus) != device.word_len:
+                raise ShotError(
+                    f"qld needs {device.addr_len} address and {device.word_len} bus "
+                    f"qubits, got {len(addr)}/{len(bus)}")
+            for g in qram.oracle_gates(device.classical_data, addr, bus):
                 self._apply(g)
         else:
             layout = qram.CircuitLayout(
@@ -657,24 +659,6 @@ class _Interpreter:
         self._tick(f"qld:{stmt.name}", duration)
 
 
-def _oracle_gates(device, addr, bus):
-    """The classically controlled flips realizing one oracle query."""
-    if device.classical_data is None:
-        raise ShotError("qld before qinit")
-    n_bits, w = device.addr_len, device.word_len
-    if len(addr) != n_bits or len(bus) != w:
-        raise ShotError(
-            f"qld needs {n_bits} address and {w} bus qubits, got {len(addr)}/{len(bus)}")
-    gates = []
-    for j in range(device.num_addresses):
-        values = tuple((j >> i) & 1 for i in range(n_bits))
-        for t in range(w):
-            if device.classical_data[j * w + t]:
-                gates.append(sv.gate("x", (bus[t],), controls=addr,
-                                     control_values=values))
-    return gates
-
-
 # Statements that draw from the shot's RNG.
 _RNG_STATEMENTS = (n.Measure, n.ResetStmt, n.MResetStmt)
 
@@ -682,16 +666,7 @@ _RNG_STATEMENTS = (n.Measure, n.ResetStmt, n.MResetStmt)
 def _rng_free_prefix(body) -> int:
     """Number of leading statements with no RNG-drawing statement inside them."""
     for i, stmt in enumerate(body):
-        if any(isinstance(s, _RNG_STATEMENTS) for s in _iter_all([stmt])):
+        if any(isinstance(s, _RNG_STATEMENTS) for s in n.walk([stmt])):
             return i
     return len(body)
 
-
-def _iter_all(stmts):
-    for stmt in stmts:
-        yield stmt
-        if isinstance(stmt, n.If):
-            yield from _iter_all(stmt.then)
-            yield from _iter_all(stmt.orelse)
-        elif isinstance(stmt, (n.For, n.While)):
-            yield from _iter_all(stmt.body)

@@ -216,3 +216,18 @@ class QLoad:
 class Program:
     body: list
     warnings: list = field(default_factory=list)
+
+
+def walk(stmts):
+    """Every statement in `stmts` and in its if/for/while bodies, pre-order.
+
+    Gate bodies are not entered: their statements run per call, with the
+    call's arguments.
+    """
+    for stmt in stmts:
+        yield stmt
+        if isinstance(stmt, If):
+            yield from walk(stmt.then)
+            yield from walk(stmt.orelse)
+        elif isinstance(stmt, (For, While)):
+            yield from walk(stmt.body)

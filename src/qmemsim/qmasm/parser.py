@@ -162,6 +162,24 @@ class Parser:
                 f"expected {what or kind}, found {tok.text!r}", tok.line, tok.col)
         return self.next()
 
+    def comma_list(self, close, item) -> list:
+        """`item()` results separated by commas up to the `close` token; the
+        opening token has been consumed. A trailing comma is accepted."""
+        values = []
+        while not self.accept(close):
+            values.append(item())
+            if not self.accept(","):
+                self.expect(close)
+                break
+        return values
+
+    def enclosed(self, opening, closing):
+        """An expression between the `opening` and `closing` tokens."""
+        self.expect(opening)
+        expr = self.expression()
+        self.expect(closing)
+        return expr
+
     def here(self) -> n.Pos:
         tok = self.peek()
         return n.Pos(tok.line, tok.col)
@@ -290,14 +308,10 @@ class Parser:
 
     def bit_array_literal(self) -> list:
         self.expect("[", "bit-array literal")
-        values = []
-        while not self.accept("]"):
-            tok = self.expect("INT", "bit literal")
-            values.append(int(tok.text))
-            if not self.accept(","):
-                self.expect("]")
-                break
-        return values
+        return self.bit_values()
+
+    def bit_values(self) -> list:
+        return self.comma_list("]", lambda: int(self.expect("INT", "bit literal").text))
 
     def int_decl(self):
         pos = self.here()
@@ -324,11 +338,7 @@ class Parser:
         name = self.expect("ID", "gate name").text
         params = []
         if self.accept("("):
-            while not self.accept(")"):
-                params.append(self.expect("ID", "parameter name").text)
-                if not self.accept(","):
-                    self.expect(")")
-                    break
+            params = self.comma_list(")", lambda: self.expect("ID", "parameter name").text)
         args = [self.expect("ID", "gate argument").text]
         while self.accept(","):
             args.append(self.expect("ID", "gate argument").text)
@@ -351,13 +361,7 @@ class Parser:
             self.expect("@")
             nctrl += 1
         name = self.expect("ID", "gate name").text
-        params = []
-        if self.accept("("):
-            while not self.accept(")"):
-                params.append(self.expression())
-                if not self.accept(","):
-                    self.expect(")")
-                    break
+        params = self.comma_list(")", self.expression) if self.accept("(") else []
         args = [self.qarg()]
         # gate arguments may be comma- or space-separated
         while True:
@@ -382,9 +386,7 @@ class Parser:
     def if_stmt(self):
         pos = self.here()
         self.next()
-        self.expect("(")
-        cond = self.expression()
-        self.expect(")")
+        cond = self.enclosed("(", ")")
         then = self.block_or_single()
         orelse = []
         if self.accept("else"):
@@ -407,9 +409,7 @@ class Parser:
     def while_stmt(self):
         pos = self.here()
         self.next()
-        self.expect("(")
-        cond = self.expression()
-        self.expect(")")
+        cond = self.enclosed("(", ")")
         body = self.block_or_single()
         return n.While(cond, body, pos=pos)
 
@@ -418,18 +418,14 @@ class Parser:
         self.next()
         qarg = self.qarg()
         self.expect("=")
-        self.expect("[")
-        addr = self.expression()
-        self.expect("]")
+        addr = self.enclosed("[", "]")
         self.expect(";")
         return n.Load(qarg, addr, pos=pos)
 
     def store_stmt(self):
         pos = self.here()
         self.next()
-        self.expect("[")
-        addr = self.expression()
-        self.expect("]")
+        addr = self.enclosed("[", "]")
         self.expect("=")
         qarg = self.qarg()
         self.expect(";")
@@ -456,13 +452,7 @@ class Parser:
             source = n.Name(self.next().text, pos=pos)
             self.expect("]")
         else:
-            values = []
-            while not self.accept("]"):
-                values.append(int(self.expect("INT", "bit literal").text))
-                if not self.accept(","):
-                    self.expect("]")
-                    break
-            source = values
+            source = self.bit_values()
         self.expect(";")
         return n.QInit(name, source, pos=pos)
 
@@ -522,18 +512,17 @@ class Parser:
         return left
 
     def additive(self):
-        left = self.multiplicative()
-        while self.peek().kind in ("+", "-"):
-            tok = self.next()
-            right = self.multiplicative()
-            left = n.BinOp(tok.kind, left, right, pos=n.Pos(tok.line, tok.col))
-        return left
+        return self.left_assoc(("+", "-"), self.multiplicative)
 
     def multiplicative(self):
-        left = self.power()
-        while self.peek().kind in ("*", "/", "%"):
+        return self.left_assoc(("*", "/", "%"), self.power)
+
+    def left_assoc(self, ops, operand):
+        """`operand (op operand)*` for the binary operators `ops`, grouped left."""
+        left = operand()
+        while self.peek().kind in ops:
             tok = self.next()
-            right = self.power()
+            right = operand()
             left = n.BinOp(tok.kind, left, right, pos=n.Pos(tok.line, tok.col))
         return left
 

@@ -10,8 +10,12 @@ Every router-tree gate is a (controlled) X, CNOT or SWAP, so the program is a
 classical reversible circuit: `check_mode` and the interpreter's circuit
 `qld` run it on the basis indices of the input's support
 (`statevec.permute_basis`) rather than on the dense 2^n-amplitude state.
-`run_circuit_mode` applies it gate by gate to the dense state and stays as
-the reference the tests compare against.
+`run_circuit_mode` applies it gate by gate to the dense state with
+`statevec.apply_gates` and stays as the reference the tests compare against.
+
+`oracle_gates` is the one builder of a classical-data oracle query (the
+address-controlled bus flips): `oracle_query`, the interpreter's functional
+`qld` and the classical write-mode inputs all take their gates from it.
 
 Address registers, classical data indices, and memory cell numbering all use
 the package-wide little-endian convention (qubit/bit 0 is least significant).
@@ -28,7 +32,6 @@ from . import statevec as sv
 from .errors import ArgumentError, ConfigError, ResourceError, StateError
 
 MAX_CIRCUIT_ADDR_BITS = 3
-QUBIT_BUDGET = 24
 
 
 class Direction(enum.Enum):
@@ -91,12 +94,11 @@ MODE_PATTERNS = {
 
 @dataclass
 class QramDevice:
-    """QRAM descriptor: address width, word length, loaded data, backend."""
+    """QRAM descriptor: address width, word length, loaded data, memory qubits."""
 
     addr_len: int
     word_len: int = 1
     classical_data: list[int] | None = None
-    backend: str = "functional"
     memory_qubits: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -104,8 +106,6 @@ class QramDevice:
             raise ArgumentError("addr_len must be >= 1")
         if self.word_len < 1:
             raise ArgumentError("word_len must be >= 1")
-        if self.backend not in ("functional", "circuit"):
-            raise ArgumentError(f"unknown backend {self.backend!r}")
         self.memory_qubits = tuple(self.memory_qubits)
         if self.memory_qubits and len(self.memory_qubits) != self.num_cells:
             raise ArgumentError(
@@ -136,9 +136,14 @@ def qinit_load(device: QramDevice, x, state: sv.StateVector | None = None) -> Qr
         )
     device.classical_data = bits
     if state is not None and device.memory_qubits:
-        sv.apply_basis_permutation(state, [
-            sv.gate("x", (q,)) for q, b in zip(device.memory_qubits, bits) if b])
+        sv.apply_basis_permutation(state, qinit_gates(device))
     return device
+
+
+def qinit_gates(device: QramDevice) -> list[sv.GateSpec]:
+    """The X flips that take reset materialized cells to the loaded data."""
+    return [sv.gate("x", (q,))
+            for q, b in zip(device.memory_qubits, device.classical_data) if b]
 
 
 def _check_disjoint(*groups):
@@ -154,6 +159,31 @@ def _addr_values(j: int, n: int) -> tuple[int, ...]:
     return tuple((j >> i) & 1 for i in range(n))
 
 
+def _query_registers(device: QramDevice, addr_qubits, bus_qubits):
+    """The address and bus qubits as tuples, checked against the device."""
+    addr, bus = tuple(addr_qubits), tuple(bus_qubits)
+    if len(addr) != device.addr_len or len(bus) != device.word_len:
+        raise ArgumentError(
+            f"need {device.addr_len} address and {device.word_len} bus qubits"
+        )
+    return addr, bus
+
+
+def oracle_gates(bits, addr, bus):
+    """The classically controlled bus flips of one oracle query, in order.
+
+    For each address j (little-endian over `addr`) and bus bit t, an X on
+    bus[t] controlled on addr == j whenever bits[j * len(bus) + t] is set.
+    """
+    addr, bus = tuple(addr), tuple(bus)
+    w = len(bus)
+    for j in range(1 << len(addr)):
+        values = _addr_values(j, len(addr))
+        for t in range(w):
+            if bits[j * w + t]:
+                yield sv.gate("x", (bus[t],), controls=addr, control_values=values)
+
+
 def oracle_query(device: QramDevice, state: sv.StateVector,
                  addr_qubits, bus_qubits) -> sv.StateVector:
     """Coherent data lookup: sum_j c_j|j>|0>  ->  sum_j c_j|j>|x_j>.
@@ -161,25 +191,11 @@ def oracle_query(device: QramDevice, state: sv.StateVector,
     Realized as classically controlled bit flips on the bus, so no memory
     qubits are ever materialized; amplitudes c_j are untouched.
     """
-    addr = tuple(addr_qubits)
-    bus = tuple(bus_qubits)
     if device.classical_data is None:
         raise StateError("no classical data loaded; call qinit_load first")
-    if len(addr) != device.addr_len or len(bus) != device.word_len:
-        raise ArgumentError(
-            f"need {device.addr_len} address and {device.word_len} bus qubits"
-        )
+    addr, bus = _query_registers(device, addr_qubits, bus_qubits)
     _check_disjoint(addr, bus)
-    n, w = device.addr_len, device.word_len
-    for j in range(device.num_addresses):
-        values = _addr_values(j, n)
-        for t in range(w):
-            if device.classical_data[j * w + t]:
-                sv.apply_gate(
-                    state,
-                    sv.gate("x", (bus[t],), controls=addr, control_values=values),
-                )
-    return state
+    return sv.apply_gates(state, oracle_gates(device.classical_data, addr, bus))
 
 
 def _coupling_gate(mode: QramMode, wire: int, cell: int, controls=(), values=()):
@@ -197,12 +213,7 @@ def apply_mode(device: QramDevice, state: sv.StateVector, mode: QramMode,
     Cells outside the addressed support are never touched, so the mode
     equations' factorization over unaddressed cells holds exactly.
     """
-    addr = tuple(addr_qubits)
-    bus = tuple(bus_qubits)
-    if len(addr) != device.addr_len or len(bus) != device.word_len:
-        raise ArgumentError(
-            f"need {device.addr_len} address and {device.word_len} bus qubits"
-        )
+    addr, bus = _query_registers(device, addr_qubits, bus_qubits)
     if mode.data_kind is DataKind.CLASSICAL and mode.direction is Direction.READ \
             and device.classical_data is None:
         raise StateError("classical read without loaded data; call qinit_load")
@@ -302,10 +313,9 @@ def build_router_program(device: QramDevice, mode: QramMode,
         )
     if layout is None:
         layout = circuit_layout(n, w)
-    if layout.total_qubits > QUBIT_BUDGET:
-        raise ResourceError(
-            f"layout needs {layout.total_qubits} qubits, budget is {QUBIT_BUDGET}"
-        )
+    if layout.total_qubits > sv.DEFAULT_MAX_QUBITS:
+        raise ResourceError(f"layout needs {layout.total_qubits} qubits, "
+                            f"budget is {sv.DEFAULT_MAX_QUBITS}")
 
     load = []
     for level in range(n):
@@ -346,7 +356,7 @@ def build_router_program(device: QramDevice, mode: QramMode,
 def run_circuit_mode(device: QramDevice, state: sv.StateVector, mode: QramMode,
                      layout: CircuitLayout) -> sv.StateVector:
     """Dense reference: the router program applied gate by gate to `state`."""
-    return sv.apply_gates_elided(state, build_router_program(device, mode, layout))
+    return sv.apply_gates(state, build_router_program(device, mode, layout))
 
 
 @dataclass
@@ -493,13 +503,7 @@ def prepare_mode_input(device: QramDevice, mode: QramMode, layout, rng,
     # write modes: memory stays reset, the bus carries the payload
     if mode.data_kind is DataKind.CLASSICAL:
         bits = _random_bits(rng, device.num_cells)
-        for j in range(device.num_addresses):
-            values = _addr_values(j, n)
-            for t in range(w):
-                if bits[j * w + t]:
-                    sv.apply_gate(state, sv.gate("x", (layout.bus[t],),
-                                                 controls=layout.addr,
-                                                 control_values=values))
+        sv.apply_gates(state, oracle_gates(bits, layout.addr, layout.bus))
     else:
         # per-branch bus states, pairwise distinguishable
         for t in range(w):
@@ -544,15 +548,7 @@ def check_mode(addr_len: int, mode: QramMode, seed: int,
     the all-zero ancilla configuration doubles as a purity lower bound
     (p^2 <= Tr rho^2).
     """
-    layout = circuit_layout(addr_len, 1)
-    device = QramDevice(addr_len=addr_len, backend="circuit",
-                        memory_qubits=layout.memory)
-    rng = np.random.default_rng(seed)
-
-    small = prepare_mode_input(device, mode, layout, rng,
-                               sv.init_state(layout.data_qubits))
-    reference = small.copy()
-    apply_mode(device, reference, mode, layout.addr, layout.bus)
+    layout, device, small, reference = _mode_instance(addr_len, 1, mode, seed)
     profile = entanglement_profile(reference, device, layout.addr, layout.bus)
 
     support = np.flatnonzero(small.amps != 0)
@@ -582,14 +578,19 @@ def profile_mode(addr_len: int, mode: QramMode, seed: int,
                  word_len: int = 1) -> EntanglementProfile:
     """Entanglement profile of one mode on a lean random instance
     (address + bus + materialized memory only, no routing ancillas)."""
-    n, w = addr_len, word_len
-    total = n + w + (1 << n) * w
-    mapping = CircuitLayout(
-        addr=tuple(range(n)), bus=tuple(range(n, n + w)), routers=(),
-        channels=(), memory=tuple(range(n + w, total)),
-    )
-    device = QramDevice(addr_len=n, word_len=w, memory_qubits=mapping.memory)
+    layout, device, _, state = _mode_instance(addr_len, word_len, mode, seed)
+    return entanglement_profile(state, device, layout.addr, layout.bus)
+
+
+def _mode_instance(addr_len, word_len, mode, seed):
+    """One seeded generic instance of a mode on the data qubits (address, bus,
+    memory) of the router layout: (layout, device, input, functional output)."""
+    layout = circuit_layout(addr_len, word_len)
+    device = QramDevice(addr_len=addr_len, word_len=word_len,
+                        memory_qubits=layout.memory)
     rng = np.random.default_rng(seed)
-    state = prepare_mode_input(device, mode, mapping, rng, sv.init_state(total))
-    apply_mode(device, state, mode, mapping.addr, mapping.bus)
-    return entanglement_profile(state, device, mapping.addr, mapping.bus)
+    small = prepare_mode_input(device, mode, layout, rng,
+                               sv.init_state(layout.data_qubits))
+    reference = small.copy()
+    apply_mode(device, reference, mode, layout.addr, layout.bus)
+    return layout, device, small, reference

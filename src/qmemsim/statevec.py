@@ -5,7 +5,9 @@ Conventions used across the package:
     index, so register element q[0] is the LSB of any integer interpretation;
   - gate matrices index their rows/columns with the *first* target qubit as
     the most significant bit (CNOT(control, target) is the usual 4x4 matrix);
-  - states are held in a flat complex128 array of length 2**num_qubits.
+  - states are held in a flat complex128 array of length 2**num_qubits;
+  - DEFAULT_MAX_QUBITS is the package's one qubit budget: init_state,
+    embed_low, the interpreter's layout and the QRAM router layout check it.
 """
 
 from __future__ import annotations
@@ -135,15 +137,13 @@ class StateVector:
         return float(np.sum(np.abs(sel) ** 2))
 
 
-def init_state(num_qubits: int, basis_index: int = 0, labels=None,
-               max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def init_state(num_qubits: int, basis_index: int = 0, labels=None) -> StateVector:
     """Computational basis state |basis_index> on `num_qubits` qubits."""
     if num_qubits < 1:
         raise ArgumentError("need at least one qubit")
-    if num_qubits > max_qubits:
+    if num_qubits > DEFAULT_MAX_QUBITS:
         raise ResourceError(
-            f"{num_qubits} qubits exceeds the configured budget of {max_qubits}"
-        )
+            f"{num_qubits} qubits exceeds the configured budget of {DEFAULT_MAX_QUBITS}")
     if not 0 <= basis_index < (1 << num_qubits):
         raise ArgumentError(
             f"basis index {basis_index} out of range for {num_qubits} qubits"
@@ -377,45 +377,13 @@ def apply_gates(state: StateVector, gates) -> StateVector:
     return state
 
 
-def apply_gates_elided(state: StateVector, gates) -> StateVector:
-    """Apply a gate list, treating uncontrolled SWAPs as qubit relabelings.
-
-    Numerically identical to apply_gates; a non-trivial final relabeling is
-    materialized with one transpose. Useful for SWAP-heavy routing netlists.
-    """
-    n = state.num_qubits
-    perm = list(range(n))  # logical qubit -> physical qubit
-    for g in gates:
-        if g.kind == "swap" and not g.controls:
-            a, b = g.targets
-            perm[a], perm[b] = perm[b], perm[a]
-            continue
-        apply_gate(state, GateSpec(
-            kind=g.kind,
-            targets=tuple(perm[q] for q in g.targets),
-            params=g.params,
-            controls=tuple(perm[q] for q in g.controls),
-            control_values=g.control_values,
-        ))
-    if perm != list(range(n)):
-        psi = state.amps.reshape((2,) * n)
-        # new axis j must hold logical qubit n-1-j, currently on perm[n-1-j]
-        axes = [n - 1 - perm[n - 1 - j] for j in range(n)]
-        state.amps = np.ascontiguousarray(np.transpose(psi, axes)).reshape(-1)
-    return state
-
-
 def embed_low(small: StateVector, total_qubits: int, labels=None) -> StateVector:
     """Extend a state with |0...0> on new high qubits [small.num_qubits, total)."""
     if total_qubits < small.num_qubits:
         raise ArgumentError("cannot embed into fewer qubits")
-    if total_qubits > DEFAULT_MAX_QUBITS:
-        raise ResourceError(
-            f"{total_qubits} qubits exceeds the configured budget of {DEFAULT_MAX_QUBITS}"
-        )
-    amps = np.zeros(1 << total_qubits, dtype=np.complex128)
-    amps[: small.amps.size] = small.amps
-    return StateVector(total_qubits, amps, tuple(labels) if labels else ())
+    state = init_state(total_qubits, labels=labels)
+    state.amps[: small.amps.size] = small.amps
+    return state
 
 
 def measure_qubit(state: StateVector, qubit: int, rng) -> tuple[int, StateVector]:
@@ -454,11 +422,20 @@ def _project(state, qubit, outcome, prob):
     state.amps /= math.sqrt(prob)
 
 
-def set_qubit(state: StateVector, qubit: int, value: int, rng) -> StateVector:
-    """Measure-and-discard reset of one qubit to |value> (collapses partners)."""
+def reset_qubit(state: StateVector, qubit: int, rng, value: int = 0) -> int:
+    """Measure one qubit, then flip it to |value> if the outcome differs.
+
+    Returns the measured outcome; entangled partners collapse with it.
+    """
     outcome, _ = measure_qubit(state, qubit, rng)
     if outcome != value:
         apply_gate(state, gate("x", (qubit,)))
+    return outcome
+
+
+def set_qubit(state: StateVector, qubit: int, value: int, rng) -> StateVector:
+    """Measure-and-discard reset of one qubit to |value> (collapses partners)."""
+    reset_qubit(state, qubit, rng, value)
     return state
 
 
@@ -486,18 +463,6 @@ def reduced_purity(state: StateVector, subset) -> float:
     else:
         gram = m @ m.conj().T
     return float(np.sum(np.abs(gram) ** 2).real)
-
-
-def basis_probability(state: StateVector, qubits, values) -> float:
-    """Probability that the listed qubits are found in the given bit values."""
-    n = state.num_qubits
-    psi = state.amps.reshape((2,) * n)
-    index = [slice(None)] * n
-    for q, v in zip(qubits, values):
-        _check_index(n, q)
-        index[n - 1 - q] = int(v)
-    sel = psi[tuple(index)]
-    return float(np.sum(np.abs(sel) ** 2))
 
 
 def state_fidelity(a: StateVector, b: StateVector) -> float:

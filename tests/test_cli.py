@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,50 @@ class TestRun:
         assert code == 0
         assert "timeline:" in out
         assert "fidelity-estimate (heuristic):" in out
+
+
+# A 22-qubit circuit-backend program: 3 address qubits, a bus, a 3x1 QRAM's
+# 8 memory cells, 7 routers and 3 channels; its state is 64 MiB.
+QLD_22 = """OPENQASM 3;
+qubit[3] a;
+qubit[1] b;
+bit[1] c;
+qram qr[3,1];
+qinit qr [0,1,1,0,1,0,0,1];
+U(1.1, 0.4, 2.0) a[0];
+U(0.8, 1.9, 0.3) a[1];
+U(2.2, 5.1, 1.4) a[2];
+qld qr(b)[a];
+measure b -> c[0];
+"""
+
+PEAK_RSS = """import resource, sys
+from qmemsim import cli
+code = cli.main(sys.argv[1:])
+print("peak-kib", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, code)
+"""
+
+
+def test_run_memory_does_not_grow_with_shots(tmp_path):
+    """`qmem run` keeps only the last shot's state, so 8 shots of a 22-qubit
+    program peak less than one state size above 1 shot (ru_maxrss, fresh
+    process each)."""
+    program = tmp_path / "qld22.qmasm"
+    program.write_text(QLD_22)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    peak = {}
+    for shots in (1, 8):
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, "run", str(program), "--backend",
+             "circuit", "--shots", str(shots), "--seed", "3"],
+            env=env, capture_output=True, text=True, timeout=300)
+        last = proc.stdout.splitlines()[-1].split()
+        assert last[0] == "peak-kib" and last[2] == "0", proc.stdout + proc.stderr
+        peak[shots] = int(last[1])
+    state_kib = (16 << 22) // 1024
+    assert peak[8] - peak[1] < state_kib, peak
 
 
 class TestMetrics:

@@ -17,6 +17,19 @@ def run(src, seed=0, **cfg):
     return qmasm.execute(qmasm.parse_program(src), seed, qmasm.RunConfig(**cfg))
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize("src", [
+        HEADER + "qubit[1] q;\nh q;\n",
+        HEADER + "qubit[1] a;\nqubit[1] b;\nqram r[1,1];\nqinit r [0,1];\nqld r(b)[a];\n",
+    ], ids=["no-qram", "qram"])
+    def test_unknown_backend_is_rejected(self, src):
+        """A misspelled backend is an error whether or not the program has a
+        qram; it used to run a qram-free program as functional."""
+        program = qmasm.parse_program(src)
+        with pytest.raises(ArgumentError, match="unknown backend 'circut'"):
+            qmasm.execute(program, 0, qmasm.RunConfig(backend="circut"))
+
+
 class TestBasics:
     def test_store_load_round_trip(self):
         res = run(HEADER + "qubit[1] q;\nmem 1;\nh q;\nst [0] = q;\nld q = [0];\n")

@@ -257,28 +257,6 @@ class TestInvariants:
         assert abs(sv.reduced_purity(s, subset) - sv.reduced_purity(s, complement)) < 1e-9
 
 
-class TestElidedSwaps:
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=20, deadline=None)
-    def test_matches_plain_application(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 5
-        gates = random_gates(rng, n, 20)
-        a = sv.init_state(n)
-        b = sv.init_state(n)
-        sv.apply_gates(a, gates)
-        sv.apply_gates_elided(b, gates)
-        assert sv.state_fidelity(a, b) >= 1 - 1e-12
-
-    def test_unbalanced_swap_is_materialized(self):
-        gates = [sv.gate("h", (0,)), sv.gate("swap", (0, 2))]
-        a = sv.init_state(3)
-        b = sv.init_state(3)
-        sv.apply_gates(a, gates)
-        sv.apply_gates_elided(b, gates)
-        assert np.allclose(a.amps, b.amps)
-
-
 def random_permutation_gates(rng, n, count):
     """X/CNOT/SWAP gates with random controls and control values."""
     gates = []
