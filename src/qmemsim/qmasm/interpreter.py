@@ -1,4 +1,4 @@
-"""Interpreter: runs a validated program against one shared StateVector.
+"""Interpreter: runs a validated program against one shared state.
 
 All declared qubit registers live in one state, followed by the `mem` RAQM
 cells and (under the circuit backend) each QRAM's routing block. Load/Store/
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,7 +240,7 @@ class _Interpreter:
         if cursor > sv.DEFAULT_MAX_QUBITS:
             raise ResourceError(
                 f"program needs {cursor} qubits; budget is {sv.DEFAULT_MAX_QUBITS}")
-        self.state = sv.init_state(cursor, labels=labels)
+        self.state = sv.zero_state(cursor, labels)
 
     # -- execution ----------------------------------------------------------
 
@@ -294,6 +295,9 @@ class _Interpreter:
                 self._cell_release(cell)
             for cell, total in self.cell_busy_total.items():
                 self.fidelity *= math.exp(-total / self.mem.timing.t_storage)
+        final = self.state
+        if isinstance(final, sv.SupportState):
+            final = final.to_dense()
         shot_entry = {
             "shot": self.seed,
             "status": status,
@@ -304,17 +308,18 @@ class _Interpreter:
             status=status,
             error=self.error,
             classical={**{k: list(v) for k, v in self.bits.items()}, **self.ints},
-            final_state=self.state,
-            memory_dump=memdev.memory_dump(self.mem, self.state) if self.mem else [],
+            final_state=final,
+            memory_dump=memdev.memory_dump(self.mem, final) if self.mem else [],
             timeline=self.timeline,
             fidelity_estimate=self.fidelity if self.config.timing else None,
             shot_log=[shot_entry],
             warnings=self.warnings,
             trace=self.trace,
-            num_qubits=self.state.num_qubits,
+            num_qubits=final.num_qubits,
         )
 
     def _step(self, stmt):
+        self.state = sv.held(self.state)  # a measurement or ld/st may have grown it
         self.steps += 1
         if self.steps > self.config.max_steps:
             raise ShotError(
@@ -334,13 +339,13 @@ class _Interpreter:
             self.bits[stmt.name] = [int(b) for b in init] + [0] * (stmt.size - len(init))
             return
         if isinstance(stmt, n.IntDecl):
-            self.ints[stmt.name] = int(self._eval(stmt.init)) if stmt.init else 0
+            self.ints[stmt.name] = self._int(stmt.init) if stmt.init else 0
             return
         if isinstance(stmt, n.GateDef):
             self.gate_defs[stmt.name] = stmt
             return
         if isinstance(stmt, n.Assign):
-            self.ints[stmt.name] = int(self._eval(stmt.expr))
+            self.ints[stmt.name] = self._int(stmt.expr)
             return
         if isinstance(stmt, n.If):
             branch = stmt.then if self._eval(stmt.cond) else stmt.orelse
@@ -352,8 +357,8 @@ class _Interpreter:
                 self._exec_block(stmt.body)
             return
         if isinstance(stmt, n.For):
-            start = int(self._eval(stmt.start))
-            end = int(self._eval(stmt.end))
+            start = self._int(stmt.start)
+            end = self._int(stmt.end)
             for value in range(start, end + 1):  # inclusive range
                 self.ints[stmt.var] = value
                 self._exec_block(stmt.body)
@@ -400,7 +405,7 @@ class _Interpreter:
             reg = self.bits.get(expr.name)
             if reg is None:
                 raise ShotError(f"unknown bit register {expr.name!r} at {expr.pos}")
-            idx = int(self._eval(expr.index, env))
+            idx = self._int(expr.index, env)
             if not 0 <= idx < len(reg):
                 raise ShotError(f"index {idx} out of range for {expr.name} at {expr.pos}")
             return reg[idx]
@@ -410,33 +415,26 @@ class _Interpreter:
             left = self._eval(expr.left, env)
             right = self._eval(expr.right, env)
             op = expr.op
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
             if op in ("/", "%") and right == 0:
                 raise ShotError(f"division by zero at {expr.pos}")
-            if op == "/":
-                return left / right
-            if op == "%":
-                return left % right
-            if op == "**":
-                return left ** right
-            if op == "==":
-                return left == right
-            if op == "!=":
-                return left != right
-            if op == "<":
-                return left < right
-            if op == ">":
-                return left > right
-            if op == "<=":
-                return left <= right
-            if op == ">=":
-                return left >= right
+            if op != "**" and op not in _BINARY:
+                raise ShotError(f"cannot evaluate expression {expr!r}")
+            try:
+                value = _power(left, right, expr.pos) if op == "**" \
+                    else _BINARY[op](left, right)
+            except OverflowError:  # a float result, or an int too large for one
+                raise ShotError(f"numeric overflow at {expr.pos}") from None
+            if isinstance(value, int) and value.bit_length() > _MAX_INT_BITS:
+                raise ShotError(f"integer too large at {expr.pos}")
+            return value
         raise ShotError(f"cannot evaluate expression {expr!r}")
+
+    def _int(self, expr, env=None) -> int:
+        value = self._eval(expr, env)
+        try:
+            return int(value)
+        except (OverflowError, ValueError):  # an infinity or a NaN
+            raise ShotError(f"{value} is not a finite number at {expr.pos}") from None
 
     # -- registers -----------------------------------------------------------
 
@@ -445,13 +443,13 @@ class _Interpreter:
         if reg is None:
             raise ShotError(f"undeclared {kind} register {arg.name!r} at {arg.pos}")
         if arg.index is not None:
-            idx = int(self._eval(arg.index))
+            idx = self._int(arg.index)
             if not 0 <= idx < len(reg):
                 raise ShotError(f"index {idx} out of range for {arg.name} at {arg.pos}")
             return slice(idx, idx + 1)
         if arg.slice is not None:
-            start = int(self._eval(arg.slice[0]))
-            end = len(reg) - 1 if arg.slice[1] is None else int(self._eval(arg.slice[1]))
+            start = self._int(arg.slice[0])
+            end = len(reg) - 1 if arg.slice[1] is None else self._int(arg.slice[1])
             if not (0 <= start <= end < len(reg)):
                 raise ShotError(f"slice [{start}:{end}] out of range for {arg.name}")
             return slice(start, end + 1)
@@ -464,7 +462,7 @@ class _Interpreter:
     # -- unitaries ------------------------------------------------------------
 
     def _apply(self, g: sv.GateSpec):
-        sv.apply_gate(self.state, g)
+        self.state = sv.held(sv.apply_gate(self.state, g))
         self.trace.append(("gate", g))
 
     def _gate_time(self):
@@ -502,8 +500,7 @@ class _Interpreter:
         elif name == "cx":
             self._emit(sv.gate("cnot", targets, controls=controls))
         elif name == "U":
-            self._emit(sv.gate("u", targets, tuple(float(p) for p in params),
-                               controls=controls))
+            self._emit(sv.gate("u", targets, _angles(params, pos), controls=controls))
         elif name in self.gate_defs:
             self._expand_user_gate(self.gate_defs[name], params, targets, controls)
         else:
@@ -582,7 +579,7 @@ class _Interpreter:
         if self.mem is None:
             raise ShotError("ld/st without a mem declaration")
         qubits = self._resolve_qubits(qarg)
-        base = int(self._eval(addr_expr))
+        base = self._int(addr_expr)
         fid = self.config.timing.raqm_fidelity if self.config.timing else 1.0
         for i, q in enumerate(qubits):
             addr = base + i  # raqm_store/raqm_load check it
@@ -600,7 +597,7 @@ class _Interpreter:
     def _mreset(self, stmt):
         if self.mem is None:
             raise ShotError("mreset without a mem declaration")
-        addr = None if stmt.addr is None else int(self._eval(stmt.addr))
+        addr = None if stmt.addr is None else self._int(stmt.addr)
         targets = range(self.mem.capacity) if addr is None else [addr]
         if addr is not None:
             self.mem.check_addr(addr)
@@ -657,6 +654,47 @@ class _Interpreter:
         duration = device.addr_len * (self.config.timing.qram_stage_time
                                       if self.config.timing else 0.0)
         self._tick(f"qld:{stmt.name}", duration)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "%": operator.mod, "==": operator.eq,
+           "!=": operator.ne, "<": operator.lt, ">": operator.gt,
+           "<=": operator.le, ">=": operator.ge}
+
+# An integer result of more bits than this stops the shot: repeated `*` or
+# one `**` would otherwise take unbounded time and memory.
+_MAX_INT_BITS = 1 << 16
+
+
+def _power(base, exponent, pos):
+    """`base ** exponent` if it is real, else a ShotError (a float overflow
+    is left to the caller). An integer power is only computed if it has at
+    most twice _MAX_INT_BITS bits; the caller checks the exact size."""
+    if isinstance(base, int) and isinstance(exponent, int) and exponent > 0 \
+            and exponent * (abs(base).bit_length() - 1) > _MAX_INT_BITS:
+        raise ShotError(f"integer too large at {pos}")
+    try:
+        value = base ** exponent
+    except ZeroDivisionError:
+        raise ShotError(f"division by zero at {pos}") from None
+    if isinstance(value, complex):
+        raise ShotError(f"power with a complex result at {pos}")
+    return value
+
+
+def _angles(params, pos) -> tuple[float, ...]:
+    """`U` parameters as floats; a count other than three, or one that is not
+    a finite float (an overflow, an infinity or a NaN), stops the shot before
+    the gate touches the state."""
+    if len(params) != 3:
+        raise ShotError(f"U takes 3 parameters, got {len(params)} at {pos}")
+    try:
+        angles = tuple(float(p) for p in params)
+    except OverflowError:
+        angles = (math.inf,)
+    if not all(math.isfinite(a) for a in angles):
+        raise ShotError(f"U parameter is not a finite number at {pos}")
+    return angles
 
 
 # Statements that draw from the shot's RNG.

@@ -1,17 +1,33 @@
-"""Dense statevector kernel: gate application, measurement, purity diagnostics.
+"""Statevector kernel: gate application, measurement, purity diagnostics.
 
 Conventions used across the package:
   - qubit index 0 is the least-significant bit of the computational basis
     index, so register element q[0] is the LSB of any integer interpretation;
   - gate matrices index their rows/columns with the *first* target qubit as
     the most significant bit (CNOT(control, target) is the usual 4x4 matrix);
-  - states are held in a flat complex128 array of length 2**num_qubits;
+  - a StateVector holds a flat complex128 array of length 2**num_qubits;
   - DEFAULT_MAX_QUBITS is the package's one qubit budget: init_state,
     embed_low, the interpreter's layout and the QRAM router layout check it.
+
+States are not always one flat array. The interpreter holds a state as a
+SupportState while that is the cheaper form (_support_pays: 16 qubits or
+more, and a support that is small next to 2^n): the sorted indices and
+values of its support, plus a small table of the signed zeros that the dense
+kernel leaves in the other amplitudes. A circuit-backend `qld` forces a
+22-qubit layout whose state has a handful of nonzero amplitudes, and the
+support state pays for those alone. It is exact, not an approximation: every
+operation feeds the same values through the same numpy operations as the
+dense kernel (gates through one `_combine`, probabilities through numpy's
+pairwise-sum tree), so the dense state it is turned into, when it outgrows
+the rule (`held`) or at the end of a run, is the dense kernel's, byte for
+byte. That exactness reproduces numpy's own rounding (its summation order,
+its fused multiply-add complex loops), so it is checked by the tests for the
+numpy release pyproject.toml requires, on the CPU they run on.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -114,10 +130,7 @@ class StateVector:
     labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        if not self.labels:
-            self.labels = tuple(f"q{i}" for i in range(self.num_qubits))
-        if len(self.labels) != self.num_qubits:
-            raise ArgumentError("one label per qubit required")
+        self.labels = _labels(self.num_qubits, self.labels)
         if self.amps.shape != (1 << self.num_qubits,):
             raise ArgumentError(
                 f"amplitude array must have length 2^{self.num_qubits}"
@@ -137,8 +150,50 @@ class StateVector:
         return float(np.sum(np.abs(sel) ** 2))
 
 
+def _labels(num_qubits, labels):
+    labels = tuple(labels) if labels else tuple(f"q{i}" for i in range(num_qubits))
+    if len(labels) != num_qubits:
+        raise ArgumentError("one label per qubit required")
+    return labels
+
+
 def init_state(num_qubits: int, basis_index: int = 0, labels=None) -> StateVector:
     """Computational basis state |basis_index> on `num_qubits` qubits."""
+    _check_basis(num_qubits, basis_index)
+    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps[basis_index] = 1.0
+    return StateVector(num_qubits, amps, tuple(labels) if labels else ())
+
+
+def zero_state(num_qubits: int, labels=None):
+    """|0...0> as the interpreter holds it: a SupportState if that is the
+    cheaper form (see `held`), else a dense StateVector."""
+    return held(SupportState.basis(num_qubits, 0, labels))
+
+
+def held(state):
+    """`state` in the form the interpreter keeps it: a SupportState that no
+    longer pays for itself (_support_pays) is turned dense, for good; any
+    other state is returned as it is."""
+    if isinstance(state, SupportState) \
+            and not _support_pays(state.num_qubits, len(state.index) + len(state.zeros)):
+        return state.to_dense()
+    return state
+
+
+# What one SupportState operation costs, in amplitudes the dense kernel
+# sweeps in the same time: about 64 per support or zero-table entry, plus a
+# fixed 2^15 (gate, diagonal, permutation and probability timed on random
+# supports of 1 to 2^18 entries at 14 to 22 qubits; x86-64, numpy 2.4).
+_SUPPORT_ENTRY_COST = 64
+_SUPPORT_FIXED_COST = 1 << 15
+
+
+def _support_pays(num_qubits, entries):
+    return _SUPPORT_ENTRY_COST * entries + _SUPPORT_FIXED_COST <= 1 << num_qubits
+
+
+def _check_basis(num_qubits, basis_index):
     if num_qubits < 1:
         raise ArgumentError("need at least one qubit")
     if num_qubits > DEFAULT_MAX_QUBITS:
@@ -148,9 +203,6 @@ def init_state(num_qubits: int, basis_index: int = 0, labels=None) -> StateVecto
         raise ArgumentError(
             f"basis index {basis_index} out of range for {num_qubits} qubits"
         )
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[basis_index] = 1.0
-    return StateVector(num_qubits, amps, tuple(labels) if labels else ())
 
 
 def apply_gate(state: StateVector, g: GateSpec) -> StateVector:
@@ -167,16 +219,15 @@ def apply_gate(state: StateVector, g: GateSpec) -> StateVector:
     element-wise arithmetic on the same contiguous copies as when the whole
     view is copied at once (m[i,0]*in_0, then += m[i,j]*in_j for each
     nonzero m[i,j]), so the result is the same bit for bit.
-    """
-    n = state.num_qubits
-    _check_gate_qubits(n, g)
 
-    mat = g.matrix()
+    A SupportState applies the gate to its support alone (SupportState).
+    """
+    if isinstance(state, SupportState):
+        state._apply(g)
+        return state
+    n = state.num_qubits
+    mat = _checked_matrix(n, g)
     k = len(g.targets)
-    if mat.shape != (1 << k, 1 << k):
-        raise ArgumentError(
-            f"gate {g.kind!r} expects {int(math.log2(mat.shape[0]))} targets, got {k}"
-        )
 
     # Reshape so that only the touched qubits get their own (size-2) axis;
     # untouched runs of qubits stay fused, keeping views few-dimensional.
@@ -207,10 +258,7 @@ def apply_gate(state: StateVector, g: GateSpec) -> StateVector:
     dim = 1 << k
     path, rows = _kernel_path(g.kind, mat)
     if path == "diag":
-        for j in range(dim):
-            d = mat[j, j]
-            if d != 1:
-                view(j)[...] *= d
+        _combine(path, mat, [view(j) if mat[j, j] != 1 else None for j in range(dim)])
         return state
     # A view spans the untouched runs dims[::2]: 2^(n - len(special)) amplitudes.
     fits = 1 << (n - len(special)) <= _DENSE_BLOCK
@@ -223,14 +271,49 @@ def apply_gate(state: StateVector, g: GateSpec) -> StateVector:
             for dst, data in moved.items():
                 view(dst, block)[...] = data
         else:
-            inputs = [view(j, block).copy() for j in range(dim)]
-            for i in range(dim):
-                acc = mat[i, 0] * inputs[0]
-                for j in range(1, dim):
-                    if mat[i, j] != 0:
-                        acc += mat[i, j] * inputs[j]
-                view(i, block)[...] = acc
+            outputs = _combine(path, mat, [view(j, block).copy() for j in range(dim)])
+            for i, out in enumerate(outputs):
+                view(i, block)[...] = out
     return state
+
+
+def _checked_matrix(n, g: GateSpec):
+    """The gate's base matrix, once its qubits and width are checked."""
+    _check_gate_qubits(n, g)
+    mat = g.matrix()
+    k = len(g.targets)
+    if mat.shape != (1 << k, 1 << k):
+        raise ArgumentError(
+            f"gate {g.kind!r} expects {int(math.log2(mat.shape[0]))} targets, got {k}"
+        )
+    return mat
+
+
+def _combine(path, mat, inputs):
+    """The element-wise arithmetic of a diagonal or dense gate.
+
+    inputs[j] holds the amplitudes whose target qubits read j, aligned
+    across j. A diagonal gate scales each inputs[j] in place by mat[j, j]
+    and returns them (where mat[j, j] is 1, inputs[j] is not read and may
+    be None); a dense gate returns fresh outputs
+    mat[i,0]*in_0, then += mat[i,j]*in_j for each nonzero mat[i,j]. The
+    dense kernel and SupportState both compute through here, so an amplitude
+    gets the same operations on the same values, hence the same bits.
+    """
+    if path == "diag":
+        for j, amps in enumerate(inputs):
+            d = mat[j, j]
+            if d != 1:
+                amps *= d
+        return inputs
+    outputs = []
+    for i in range(len(mat)):
+        acc = mat[i, 0] * inputs[0]
+        for j in range(1, len(mat)):
+            if mat[i, j] != 0:
+                acc += mat[i, j] * inputs[j]
+        outputs.append(acc)
+    return outputs
 
 
 # The most amplitudes apply_gate copies out of one view at once: 128 KiB per
@@ -320,6 +403,9 @@ def apply_basis_permutation(state: StateVector, gates) -> StateVector:
     size of the support rather than of the state. The state is untouched if
     any gate is rejected.
     """
+    if isinstance(state, SupportState):
+        state._permute(gates)
+        return state
     support = np.flatnonzero(state.amps != 0)
     images = permute_basis(support, gates, state.num_qubits)
     values = state.amps[support]
@@ -417,6 +503,9 @@ def _project(state, qubit, outcome, prob):
             f"projection on qubit {qubit}={outcome} has zero probability",
             probability=prob,
         )
+    if isinstance(state, SupportState):
+        state._project(qubit, outcome, prob)
+        return
     view = state.amps.reshape(-1, 2, 1 << qubit)
     view[:, 1 - outcome, :] = 0.0
     state.amps /= math.sqrt(prob)
@@ -437,6 +526,230 @@ def set_qubit(state: StateVector, qubit: int, value: int, rng) -> StateVector:
     """Measure-and-discard reset of one qubit to |value> (collapses partners)."""
     reset_qubit(state, qubit, rng, value)
     return state
+
+
+class SupportState:
+    """A state held as its support: sorted int64 `index`, complex128 `values`.
+
+    Every amplitude off the support is a signed zero. The dense kernel writes
+    m*0 into amplitudes that stay zero, and the signs of those zeros show in
+    `amps.tobytes()` and can print as `-0`, so they are kept too: off-support
+    zeros depend only on the bits of qubits that gates have touched, and
+    `zeros` holds them as a table keyed by the bits of `zero_qubits` (qubit
+    zero_qubits[t] is bit t of the key). That table is itself a small dense
+    state, and each gate is applied to it as well.
+
+    apply_gate, apply_basis_permutation, measurement, post-selection and
+    `probability` give the dense kernel's results bit for bit, at a cost in
+    the size of the support and the table (see `held` for when the dense
+    form is cheaper). A gate with a non-finite matrix entry is rejected
+    with ArgumentError: the dense kernel would spread NaN to every
+    amplitude.
+    """
+
+    def __init__(self, num_qubits: int, index, values, labels=()):
+        """`index` must be sorted and free of repeats; every other amplitude is +0."""
+        self.num_qubits = num_qubits
+        self.labels = _labels(num_qubits, labels)
+        self.index = np.array(index, dtype=np.int64)
+        self.values = np.array(values, dtype=np.complex128)
+        self.zero_qubits = ()
+        self.zeros = np.zeros(1, dtype=np.complex128)
+
+    @classmethod
+    def basis(cls, num_qubits: int, basis_index: int = 0, labels=None) -> "SupportState":
+        """Computational basis state |basis_index>, checked as init_state does."""
+        _check_basis(num_qubits, basis_index)
+        return cls(num_qubits, [basis_index], [1.0], labels)
+
+    def copy(self) -> "SupportState":
+        twin = copy.copy(self)
+        twin.index, twin.values = self.index.copy(), self.values.copy()
+        twin.zeros = self.zeros.copy()
+        return twin
+
+    def to_dense(self) -> StateVector:
+        """The dense state, built from calloc'd zeros: the zero table's
+        pattern is written only if it holds a -0, then the support."""
+        amps = np.zeros(1 << self.num_qubits, dtype=np.complex128)
+        if np.signbit(self.zeros.view(np.float64)).any():
+            # The zeros repeat with the period of their highest qubit: one
+            # period, widened to a kernel block, is written, then copied on.
+            period = max(2 << max(self.zero_qubits, default=-1),
+                         min(_DENSE_BLOCK, amps.size))
+            dims, shape, prev = [], [], period.bit_length() - 1
+            for q in reversed(self.zero_qubits):
+                dims += [1 << (prev - q - 1), 2]
+                shape += [1, 2]
+                prev = q
+            head = amps[:period]
+            head.reshape(dims + [1 << prev])[...] = self.zeros.reshape(shape + [1])
+            amps.reshape(-1, period)[1:] = head
+        amps[self.index] = self.values
+        return StateVector(self.num_qubits, amps, self.labels)
+
+    def probability(self, qubit: int, value: int = 1) -> float:
+        """StateVector.probability's value, bit for bit."""
+        _check_index(self.num_qubits, qubit)
+        chosen = (self.index >> qubit) & 1 == value
+        index = self.index[chosen]
+        low = (1 << qubit) - 1
+        # the position of each amplitude in the dense kernel's selected half
+        position = (index >> 1) & ~low | index & low
+        return float(_pairwise_sum(position, np.abs(self.values[chosen]) ** 2,
+                                   1 << (self.num_qubits - 1)))
+
+    # -- operations, reached through apply_gate, apply_basis_permutation
+    #    and _project -------------------------------------------------------
+
+    def _apply(self, g: GateSpec):
+        mat = _checked_matrix(self.num_qubits, g)
+        if not np.isfinite(mat).all():
+            raise ArgumentError(f"gate {g.kind!r} has a non-finite matrix entry")
+        path, _ = _kernel_path(g.kind, mat)
+        index, values = self.index, self.values
+        if path == "perm":
+            self._set(permute_basis(index, [g], self.num_qubits), values)
+        else:
+            k = len(g.targets)
+            mask = sum(1 << q for q in g.controls)
+            active = index & mask == sum(v << q for q, v in zip(g.controls, g.values()))
+            offsets = [sum((j >> (k - 1 - i) & 1) << q for i, q in enumerate(g.targets))
+                       for j in range(len(mat))]
+            if path == "diag":
+                # numpy multiplies a one-element array in place without a
+                # fused multiply-add, so a part is padded to two elements
+                # unless the dense kernel's views hold one amplitude too.
+                spare = int(self.num_qubits > len(g.targets) + len(g.controls))
+                combo = index & offsets[-1]
+                parts = [active & (combo == off) for off in offsets]
+                inputs = [np.append(values[p], np.zeros(spare, values.dtype)) for p in parts]
+                for part, out in zip(parts, _combine(path, mat, inputs)):
+                    values[part] = out[:len(out) - spare]
+            else:
+                # every group of 2^k amplitudes that meets the support
+                bases = np.unique(index[active] & ~offsets[-1])
+                members = [bases | off for off in offsets]
+                outputs = _combine(path, mat, [self._read(m) for m in members])
+                self._set(np.concatenate([index[~active]] + members),
+                          np.concatenate([values[~active]] + outputs))
+        self._widen(g.targets + g.controls)
+        where = {q: t for t, q in enumerate(self.zero_qubits)}
+        apply_gate(StateVector(len(where), self.zeros), GateSpec(
+            g.kind, tuple(where[q] for q in g.targets), g.params,
+            tuple(where[q] for q in g.controls), g.control_values))
+        self._settle()
+
+    def _permute(self, gates):
+        """apply_basis_permutation: nonzero values move, +0 is left at their
+        sources, and zeros elsewhere stay where they are."""
+        nonzero = self.values != 0
+        sources = self.index[nonzero]
+        images = permute_basis(sources, gates, self.num_qubits)
+        self._set(np.concatenate([self.index[~nonzero], sources, images]),
+                  np.concatenate([self.values[~nonzero],
+                                  np.zeros(len(sources), dtype=np.complex128),
+                                  self.values[nonzero]]))
+        self._settle()
+
+    def _project(self, qubit, outcome, prob):
+        self._widen((qubit,))
+        t = self.zero_qubits.index(qubit)
+        self.zeros.reshape(-1, 2, 1 << t)[:, 1 - outcome, :] = 0.0
+        self.values[(self.index >> qubit) & 1 != outcome] = 0.0
+        scale = math.sqrt(prob)
+        self.zeros /= scale
+        self.values /= scale
+        self._settle()
+
+    # -- bookkeeping --------------------------------------------------------
+
+    def _zeros_at(self, index):
+        key = np.zeros(len(index), dtype=np.int64)
+        for t, q in enumerate(self.zero_qubits):
+            key |= (index >> q & 1) << t
+        return self.zeros[key]
+
+    def _read(self, index):
+        """Fresh array of the amplitudes at these basis indices."""
+        out = self._zeros_at(index)
+        if len(self.index):
+            at = np.minimum(np.searchsorted(self.index, index), len(self.index) - 1)
+            found = self.index[at] == index
+            out[found] = self.values[at[found]]
+        return out
+
+    def _set(self, index, values):
+        """Sort the entries by index; of repeated indices the last one wins."""
+        order = np.argsort(index, kind="stable")
+        index, values = index[order], values[order]
+        last = np.append(index[1:] != index[:-1], True)
+        self.index, self.values = index[last], values[last]
+
+    def _widen(self, qubits):
+        """Key the zero table by these qubits too."""
+        wider = tuple(sorted(set(self.zero_qubits).union(qubits)))
+        if wider == self.zero_qubits:
+            return
+        keys = np.arange(1 << len(wider))
+        old = np.zeros_like(keys)
+        for t, q in enumerate(self.zero_qubits):
+            old |= (keys >> wider.index(q) & 1) << t
+        self.zeros = self.zeros[old]
+        self.zero_qubits = wider
+
+    def _settle(self):
+        """Drop table qubits the zeros do not depend on and entries that equal
+        their zero."""
+        for t in reversed(range(len(self.zero_qubits))):
+            halves = self.zeros.reshape(-1, 2, 1 << t)
+            if _same_bits(halves[:, 0, :].ravel(), halves[:, 1, :].ravel()).all():
+                self.zeros = halves[:, 0, :].ravel()
+                self.zero_qubits = self.zero_qubits[:t] + self.zero_qubits[t + 1:]
+        keep = ~_same_bits(self.values, self._zeros_at(self.index))
+        self.index, self.values = self.index[keep], self.values[keep]
+
+
+def _same_bits(a, b):
+    """Entry by entry: do complex arrays a and b hold the same bits (-0 != +0)?"""
+    a = np.ascontiguousarray(a).view(np.int64).reshape(-1, 2)
+    b = np.ascontiguousarray(b).view(np.int64).reshape(-1, 2)
+    return (a == b).all(axis=1)
+
+
+def _pairwise_sum(position, w, n):
+    """np.sum of an n-element array (n a power of two) that is +0 except for
+    the non-negative w at the sorted positions, with the same rounding.
+
+    numpy sums up to 128 elements in eight interleaved lanes, each in order,
+    then adds the lanes as a binary tree; a longer array it halves
+    recursively, and fewer than 8 elements it adds in order. So for n a
+    power of two the sum is one binary tree over the key
+    (p >> 7) << 3 | p & 7 (0 below 8 elements) whose leaves are in-order lane
+    sums. Adding +0 leaves a non-negative sum as it is, so only the given
+    leaves are visited. Summing in index order instead differs in the last
+    bits.
+    """
+    if not len(position):
+        return 0.0
+    key = position >> 7 << 3 | position & 7 if n >= 8 else np.zeros_like(position)
+    order = np.argsort(key, kind="stable")
+    key, w = key[order], w[order]
+    first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+    length = np.diff(np.append(first, len(key)))
+    sums = w[first]
+    for step in range(1, length.max()):
+        more = length > step
+        sums[more] += w[first[more] + step]
+    key = key[first]
+    while len(key) > 1:
+        key = key >> 1
+        left = np.flatnonzero(key[1:] == key[:-1])
+        sums[left] += sums[left + 1]
+        keep = np.ones(len(key), dtype=bool)
+        keep[left + 1] = False
+        key, sums = key[keep], sums[keep]
+    return sums[0]
 
 
 def reduced_purity(state: StateVector, subset) -> float:

@@ -1,11 +1,13 @@
-"""Property test: whatever the arguments and the program text, `cli.main`
+"""Property tests: whatever the arguments and the program text, `cli.main`
 ends in exit code 0, 1 or 2 (or argparse's SystemExit(2)) and no other
-exception escapes.
+exception escapes; and every shot of a generated program, aborted ones
+included, leaves a state whose norm is 1 within statevec.NORM_TOL.
 
 Argument vectors draw each subcommand's flags from in-range and out-of-range
 values. Program texts are the packaged examples with a few tokens deleted,
-duplicated or swapped; dataset texts are the packaged tables with lines
-deleted, duplicated or swapped.
+duplicated, swapped or replaced by a non-finite or overflowing expression;
+dataset texts are the packaged tables with lines deleted, duplicated or
+swapped.
 """
 
 import contextlib
@@ -14,15 +16,18 @@ import io
 import re
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qmemsim import assets, cli, qmasm
+from qmemsim import statevec as sv
 from qmemsim.errors import QmemError
 from qmemsim.qmasm import nodes
+from test_golden import QLD_RESET
 
 EXAMPLES = ("bell_store", "buffer_demo", "qft_amplitude", "qft_amplitude_clean")
 TOKEN = re.compile(r"\d+\.\d+|\w+|->|==|!=|<=|>=|\*\*|\S")
+NUMBER = re.compile(r"\d+(\.\d+)?")
 # Mutants are kept to this many qubits, so no example takes seconds a shot.
 MAX_FUZZ_QUBITS = 16
 # Instruction budget for the fuzzed runs: a mutant whose loop no longer
@@ -39,9 +44,27 @@ SOURCES = {name: _tokens(name) for name in EXAMPLES}
 TABLES = {name: assets.data_path(name).read_text().splitlines()
           for name in ("table1.csv", "table3_raqm.csv")}
 
-edits = st.lists(st.tuples(st.sampled_from(["delete", "duplicate", "swap"]),
+# Expressions that overflow a float, exceed it as an int, or are NaN.
+NON_FINITE = ("1e308*10", "2**2000", "1e308*10 - 1e308*10")
+
+edits = st.lists(st.tuples(st.sampled_from(["delete", "duplicate", "swap", "non-finite"]),
                            st.integers(0, 10_000), st.integers(0, 10_000)),
                  max_size=2)
+
+
+def angle_examples(**fixed):
+    """Hypothesis examples in which each NON_FINITE expression replaces the
+    angle of buffer_demo's `U(1.0471975512, 0, 0)`, so every run tries all
+    three whatever the generated cases hit."""
+    numbers = [t for t in SOURCES["buffer_demo"] if NUMBER.fullmatch(t)]
+    angle = numbers.index("1.0471975512")
+
+    def decorate(test):
+        for j in range(len(NON_FINITE)):
+            test = example(name="buffer_demo", changes=[("non-finite", angle, j)],
+                           **fixed)(test)
+        return test
+    return decorate
 
 
 def mutate(items, changes):
@@ -54,6 +77,10 @@ def mutate(items, changes):
             del items[i]
         elif op == "duplicate":
             items.insert(i, items[i])
+        elif op == "non-finite":  # the i-th number, so gate angles get hit
+            numbers = [k for k, item in enumerate(items) if NUMBER.fullmatch(item)]
+            if numbers:
+                items[numbers[i % len(numbers)]] = NON_FINITE[j % len(NON_FINITE)]
         else:
             items[i], items[j] = items[j], items[i]
     return items
@@ -128,6 +155,7 @@ def call_main(argv):
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(name=st.sampled_from(EXAMPLES), changes=edits, argv=run_argv)
+@angle_examples(argv=("1", "5", "functional", [], ["--dump-state"]))
 def test_run_exits_cleanly(workdir, small_step_budget, name, changes, argv):
     text = " ".join(mutate(SOURCES[name], changes))
     assume(qubits_needed(text) <= MAX_FUZZ_QUBITS)
@@ -168,3 +196,25 @@ def test_qram_check_exits_cleanly(flags):
     if not any(flag == "--seeds" for flag, _ in flags):
         vector += ["--seeds", "1"]  # the default of 50 would take seconds
     call_main(vector)
+
+
+# QLD_RESET runs on 15 qubits under the circuit backend, so its shots run on
+# a support state (statevec.SupportState).
+NORM_SOURCES = {**SOURCES, "qld_reset": TOKEN.findall(QLD_RESET)}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(NORM_SOURCES)), changes=edits,
+       backend=st.sampled_from(["functional", "circuit"]))
+@angle_examples(backend="functional")
+@angle_examples(backend="circuit")
+def test_every_shot_keeps_the_norm(name, changes, backend):
+    text = " ".join(mutate(NORM_SOURCES[name], changes))
+    assume(qubits_needed(text) <= MAX_FUZZ_QUBITS)
+    config = qmasm.RunConfig(backend=backend, max_steps=FUZZ_MAX_STEPS)
+    try:
+        results = qmasm.run_shots(qmasm.parse_program(text), 3, 2, config)
+    except QmemError:
+        return  # rejected before any shot ran: parse, validation or layout
+    for r in results:
+        assert r.final_state.norm_error() <= sv.NORM_TOL, (text, r.error)

@@ -8,7 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from qmemsim import qmasm
+from qmemsim import statevec as sv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,3 +61,28 @@ def test_seed_one_simulated_output(perfbench, name):
         stats.append(work.sim_stats(i, out))
     assert work.finish() == []
     assert run.sim_summary(work, stats)["sha256"] == SEED_ONE_SIM_SHA[name]
+
+
+def test_qld_programs_equal_on_dense_and_support_states(perfbench, monkeypatch):
+    """The benchmark's 22-qubit qld programs give the same shots, final-state
+    bytes included, on the dense kernel as on the support state the
+    interpreter holds them in. Seeds 7 and 15 leave over a million -0
+    components in the final state, which must survive."""
+    _, wl = perfbench
+
+    def fields(r):
+        return (r.status, r.error, r.classical, r.shot_log, r.trace,
+                r.final_state.amps.tobytes(), r.num_qubits)
+
+    config = qmasm.RunConfig(backend="circuit")
+    negative_zeros = {}
+    for seed in range(1, 21):
+        program = qmasm.parse_program(wl.qld_program(seed)[0])
+        support = qmasm.run_shots(program, seed, 1, config)[0]
+        with monkeypatch.context() as m:
+            m.setattr(sv, "zero_state", lambda n, labels=None: sv.init_state(n, labels=labels))
+            dense = qmasm.run_shots(program, seed, 1, config)[0]
+        assert fields(support) == fields(dense), seed
+        negative_zeros[seed] = int(np.count_nonzero(
+            np.signbit(dense.final_state.amps.view(np.float64))))
+    assert negative_zeros[7] > 1 << 19 and negative_zeros[15] > 1 << 19

@@ -9,6 +9,7 @@ from qmemsim import assets, memdev, qmasm
 from qmemsim import statevec as sv
 from qmemsim.errors import ArgumentError, QmemError, ResourceError, ValidationFailure
 from qmemsim.qmasm import interpreter, nodes
+from test_golden import PROGRAMS, QLD_RESET
 
 HEADER = "OPENQASM 3;\n"
 
@@ -487,3 +488,118 @@ class TestShotFork:
             device = other.qrams[name].device
             assert binding.device is not device
             assert binding.device.classical_data is not device.classical_data
+
+
+def dense_state(num_qubits, labels=None):
+    return sv.init_state(num_qubits, labels=labels)
+
+
+def golden_cases():
+    """The programs the golden CLI test pins, with its timing-report run."""
+    timing = qmasm.TimingProfile()
+    for program in PROGRAMS:
+        name = program.removeprefix("examples/")
+        if program.startswith("examples/"):
+            src = assets.example_path(name).read_text()
+        else:
+            src = QLD_RESET
+        for backend in ("functional", "circuit"):
+            yield f"{name}-{backend}", src, qmasm.RunConfig(backend=backend)
+            yield (f"{name}-{backend}-timing", src,
+                   qmasm.RunConfig(backend=backend, timing=timing))
+
+
+class TestSupportRepresentation:
+    """A program gives the same results, final-state bytes included, whether
+    the interpreter holds its state dense or as a statevec.SupportState."""
+
+    def run_both(self, monkeypatch, program, seed, shots, config):
+        made = []
+
+        def support_state(num_qubits, labels=None):
+            made.append(sv.SupportState.basis(num_qubits, 0, labels))
+            return made[-1]
+
+        # keep small states in the support form, which would not pay for them
+        monkeypatch.setattr(sv, "held", lambda state: state)
+        results = []
+        for make in (dense_state, support_state):
+            monkeypatch.setattr(sv, "zero_state", make)
+            results.append(outcome(lambda: [
+                shot_fields(r) for r in qmasm.run_shots(program, seed, shots, config)]))
+        return made, results
+
+    @pytest.mark.parametrize("name, src, config", FORK_CASES + list(golden_cases()),
+                             ids=[c[0] for c in FORK_CASES]
+                             + ["golden-" + c[0] for c in golden_cases()])
+    def test_same_shots_on_both_representations(self, name, src, config, monkeypatch):
+        made, (dense, support) = self.run_both(
+            monkeypatch, qmasm.parse_program(src), 40, 4, config)
+        assert dense == support
+        assert made or isinstance(dense, str)  # no layout: rejected before a state
+
+    def test_fork_of_a_support_state_shares_no_array(self, monkeypatch):
+        monkeypatch.setattr(sv, "zero_state",
+                            lambda n, labels=None: sv.SupportState.basis(n, 0, labels))
+        monkeypatch.setattr(sv, "held", lambda state: state)
+        program = qmasm.parse_program(QLD_RESET)
+        split = interpreter._rng_free_prefix(program.body)
+        base = interpreter._Interpreter(program, 0, qmasm.RunConfig(backend="circuit"))
+        base.run(program.body[:split])
+        other = base.fork()
+        assert isinstance(base.state, sv.SupportState)
+        for name in ("index", "values", "zeros"):
+            assert not np.shares_memory(getattr(base.state, name), getattr(other.state, name))
+        results = [other.finish(0, program.body[split:]), base.finish(1, program.body[split:])]
+        assert [r.status for r in results] == ["ok", "ok"]
+        assert not np.shares_memory(results[0].final_state.amps, results[1].final_state.amps)
+
+    def test_state_turns_dense_mid_run_once_the_support_stops_paying(self, monkeypatch):
+        src = HEADER + "qubit[16] q;\nbit[2] c;\nh q[0:3];\nmeasure q[0:1] -> c;\nh q;\n" \
+            "U(0.3, 0.2, 0.1) q[4];\nmeasure q[5:6] -> c;\n"
+        program = qmasm.parse_program(src)
+        interp = interpreter._Interpreter(program, 5, qmasm.RunConfig())
+        assert isinstance(interp.state, sv.SupportState)
+        interp.run(program.body[:4])
+        assert isinstance(interp.state, sv.SupportState)
+        interp.run(program.body[4:])
+        assert isinstance(interp.state, sv.StateVector)
+        changed = shot_fields(interp.result())
+        monkeypatch.setattr(sv, "zero_state", dense_state)
+        assert shot_fields(qmasm.run_shots(program, 5, 1)[0]) == changed
+
+
+class TestNonFiniteNumbers:
+    """A value that is not a finite number, or an integer of over 65536 bits,
+    stops the shot with a ShotError naming its position, before the state
+    changes."""
+
+    PREFIX = HEADER + "qubit[1] q;\nbit[1] c;\nh q;\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("U(1e308*10, 0, 0) q[0];", "U parameter is not a finite number at line 5, col 1"),
+        ("U(2**2000, 0, 0) q[0];", "U parameter is not a finite number at line 5, col 1"),
+        ("U(1e308*10 - 1e308*10, 0, 0) q[0];",
+         "U parameter is not a finite number at line 5, col 1"),
+        ("gate g a { U(0, 1.5) a; }\ng q[0];", "U takes 3 parameters, got 2 at line 5"),
+        ("int j = 1e308*10;", "inf is not a finite number at line 5"),
+        ("h q[1e308*10 - 1e308*10];", "nan is not a finite number at line 5"),
+        ("int j = 2.0**2000;", "numeric overflow at line 5"),
+        ("int n = 2**2000; int k = n * 2.5;", "numeric overflow at line 5"),
+        ("int j = 2 ** 2**2000;", "integer too large at line 5"),
+        ("int j = 3 ** 65536;", "integer too large at line 5"),
+        ("int j = 3; for k in [1:40] { j = j * j; }", "integer too large at line 5"),
+        ("int j = 0 ** -1;", "division by zero at line 5"),
+        ("int j = (0-8) ** 0.5;", "power with a complex result at line 5"),
+    ])
+    def test_shot_stops_before_the_state_changes(self, line, message):
+        res = run(self.PREFIX + line + "\nmeasure q -> c[0];\n")
+        assert res.status == "error"
+        assert res.error.startswith("ShotError: ") and message in res.error
+        untouched = run(self.PREFIX)
+        assert res.final_state.amps.tobytes() == untouched.final_state.amps.tobytes()
+
+    def test_large_finite_values_still_run(self):
+        res = run(self.PREFIX + "int j = 2 ** 2000;\nint k = 2 ** 65535 - 1 + 2 ** 65535;\n"
+                  "U(2 ** 0.5, 3 ** 2, 0) q[0];\n")
+        assert res.status == "ok"

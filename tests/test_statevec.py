@@ -552,3 +552,193 @@ class TestBlockedKernel:
             assert seen[block].size <= sv._DENSE_BLOCK
             seen[block] += 1
         assert (seen == 1).all()
+
+
+# -- the support state ---------------------------------------------------------
+
+ANGLES = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2]),
+                   st.floats(-7.0, 7.0))
+
+
+@st.composite
+def gate_specs(draw, n):
+    """Any kind with 0-2 controls and mixed control values; `u` with theta = 0
+    or -0 takes the diagonal path."""
+    kind = draw(st.sampled_from(["h", "x", "cnot", "swap", "u", "rk"]))
+    width = 2 if kind in ("cnot", "swap") else 1
+    qubits = draw(st.permutations(range(n)))
+    nc = draw(st.integers(0, min(2, n - width)))
+    params = ()
+    if kind == "u":
+        params = (draw(ANGLES), draw(ANGLES), draw(ANGLES))
+    elif kind == "rk":
+        params = (draw(st.integers(1, 6)),)
+    values = draw(st.lists(st.integers(0, 1), min_size=nc, max_size=nc))
+    return sv.gate(kind, qubits[:width], params, qubits[width:width + nc], values)
+
+
+@st.composite
+def permutations_of(draw, n):
+    gates = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["x", "cnot", "swap"]))
+        width = 1 if kind == "x" else 2
+        qubits = draw(st.permutations(range(n)))
+        nc = draw(st.integers(0, min(1, n - width)))
+        gates.append(sv.gate(kind, qubits[:width], (), qubits[width:width + nc],
+                             draw(st.lists(st.integers(0, 1), min_size=nc, max_size=nc))))
+    return gates
+
+
+@st.composite
+def sparse_cases(draw):
+    """A few-amplitude start state, gates that leave signed zeros behind, and
+    the operations to check one by one."""
+    n = draw(st.integers(2, 7))
+    index = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4, unique=True))
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    parts = st.one_of(st.integers(-2, 2), st.floats(-1, 1).filter(lambda x: abs(x) > 1e-3))
+    for i in index:
+        amps[i] = complex(draw(parts), draw(parts)) or 1.0
+    amps /= np.linalg.norm(amps)
+    history = draw(st.lists(gate_specs(n), max_size=4))
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("gate"), gate_specs(n)),
+        st.tuples(st.just("permute"), permutations_of(n)),
+        st.tuples(st.just("project"), st.integers(0, n - 1), st.integers(0, 1))),
+        min_size=1, max_size=8))
+    return n, amps, history, ops
+
+
+def SIGNED_ZERO_U(q):
+    """A `u` gate that turns the +0 in the |1> half of qubit q into 0-0j."""
+    return sv.gate("u", (q,), (2.5, 3.5, 0.5))
+
+
+def assert_same_state(support, dense):
+    assert support.to_dense().amps.tobytes() == dense.amps.tobytes()
+
+
+class TestSupportState:
+    @settings(max_examples=250, deadline=None)
+    @given(sparse_cases())
+    def test_every_operation_equals_the_dense_kernel_bitwise(self, case):
+        n, amps, history, ops = case
+        dense = sv.StateVector(n, amps)
+        support = sv.SupportState(n, np.flatnonzero(amps), amps[amps != 0])
+        for g in history:
+            sv.apply_gate(dense, g)
+            sv.apply_gate(support, g)
+        assert_same_state(support, dense)
+        for op in ops:
+            if op[0] == "gate":
+                sv.apply_gate(dense, op[1])
+                sv.apply_gate(support, op[1])
+            elif op[0] == "permute":
+                sv.apply_basis_permutation(dense, op[1])
+                sv.apply_basis_permutation(support, op[1])
+            else:
+                _, qubit, outcome = op
+                p = dense.probability(qubit, outcome)
+                assert support.probability(qubit, outcome) == p
+                assert support.probability(qubit, 1 - outcome) == \
+                    dense.probability(qubit, 1 - outcome)
+                if p > sv.POSTSELECT_MIN_PROB:
+                    sv._project(dense, qubit, outcome, p)
+                    sv._project(support, qubit, outcome, p)
+            assert_same_state(support, dense)
+
+    def test_signed_zeros_survive(self):
+        # this U leaves -0 in half of the amplitudes that stay zero
+        n = 16
+        dense, support = sv.init_state(n), sv.SupportState.basis(n)
+        for s in (dense, support):
+            sv.apply_gate(s, SIGNED_ZERO_U(3))
+        assert np.signbit(dense.amps.view(np.float64)).sum() > 1 << 14
+        assert len(support.index) == 2 and support.zero_qubits == (3,)
+        assert_same_state(support, dense)
+        for g in (sv.gate("h", (9,), (), (3,)), sv.gate("u", (0,), (0.0, 2.0, 3.0), (9,), (0,))):
+            sv.apply_gate(dense, g)
+            sv.apply_gate(support, g)
+        assert_same_state(support, dense)
+
+    @pytest.mark.parametrize("n", [14, 17])
+    def test_blocked_kernel_sizes(self, n):
+        rng = np.random.default_rng(n)
+        dense, support = sv.init_state(n, 5), sv.SupportState.basis(n, 5)
+        for g in placed_gates(n)[::3]:
+            sv.apply_gate(dense, g)
+            sv.apply_gate(support, g)
+            q = int(rng.integers(n))
+            assert support.probability(q) == dense.probability(q)
+        assert_same_state(support, dense)
+
+    def test_held_turns_dense_once_the_support_stops_paying(self):
+        # 64 * entries + 2^15 <= 2^16 holds up to 512 entries (support and
+        # zero table together); Hadamards leave a +0 table of one entry.
+        dense, support = sv.init_state(16), sv.SupportState.basis(16)
+        q = 0
+        while sv.held(support) is support:
+            for s in (dense, support):
+                sv.apply_gate(s, sv.gate("h", (q,)))
+            q += 1
+        assert q == 9 and len(support.index) == 512 and len(support.zeros) == 1
+        turned = sv.held(support)
+        assert isinstance(turned, sv.StateVector)
+        assert turned.amps.tobytes() == dense.amps.tobytes()
+        assert sv.held(turned) is turned
+
+    def test_held_counts_the_zero_table(self):
+        # a diagonal gate that leaves -0 in the |1> half of its qubit
+        dense, support = sv.init_state(16), sv.SupportState.basis(16)
+        for q in range(9):
+            assert sv.held(support) is support
+            for s in (dense, support):
+                sv.apply_gate(s, sv.gate("u", (q,), (0.0, 0.0, 3.0)))
+        assert len(support.index) == 1 and len(support.zeros) == 512
+        turned = sv.held(support)
+        assert isinstance(turned, sv.StateVector)
+        assert turned.amps.tobytes() == dense.amps.tobytes()
+
+    def test_basis_checks_like_init_state(self):
+        s = sv.SupportState.basis(3, 5, labels=("a", "b", "c"))
+        assert s.to_dense().amps.tobytes() == sv.init_state(3, 5).amps.tobytes()
+        assert s.to_dense().labels == ("a", "b", "c")
+        with pytest.raises(ResourceError):
+            sv.SupportState.basis(sv.DEFAULT_MAX_QUBITS + 1)
+        with pytest.raises(ArgumentError):
+            sv.SupportState.basis(3, 8)
+
+    def test_zero_state_representation(self):
+        assert isinstance(sv.zero_state(15), sv.StateVector)
+        assert isinstance(sv.zero_state(16), sv.SupportState)
+
+    def test_non_finite_matrix_is_rejected(self):
+        s = sv.SupportState.basis(15)
+        sv.apply_gate(s, sv.gate("h", (2,)))
+        before = s.copy()
+        with pytest.raises(ArgumentError, match="non-finite"):
+            sv.apply_gate(s, sv.gate("u", (1,), (math.nan, 0.0, 0.0)))
+        assert_same_state(s, before.to_dense())
+
+    def test_rejected_gates_leave_the_state(self):
+        s = sv.SupportState.basis(15)
+        sv.apply_gate(s, sv.gate("h", (2,)))
+        before = s.to_dense().amps.tobytes()
+        for bad in (sv.gate("h", (15,)), sv.gate("cnot", (1,)), sv.gate("h", (1,), (), (1,))):
+            with pytest.raises(ArgumentError):
+                sv.apply_gate(s, bad)
+        with pytest.raises(ArgumentError):
+            sv.apply_basis_permutation(s, [sv.gate("x", (0,)), sv.gate("h", (1,))])
+        with pytest.raises(PostSelectionError):
+            sv._project(s, 2, 1, 0.0)
+        assert s.to_dense().amps.tobytes() == before
+
+    def test_copy_shares_no_array(self):
+        s = sv.SupportState.basis(15)
+        sv.apply_gate(s, sv.gate("u", (1,), (1.1, 2.5, 4.0)))
+        twin = s.copy()
+        for name in ("index", "values", "zeros"):
+            assert not np.shares_memory(getattr(s, name), getattr(twin, name))
+        sv.apply_gate(twin, sv.gate("h", (1,)))
+        assert s.to_dense().amps.tobytes() != twin.to_dense().amps.tobytes()
