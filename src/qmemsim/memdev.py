@@ -101,7 +101,7 @@ def raqm_reset(device: RaqmDevice, state: sv.StateVector, addr: int | None, rng)
     if addr is not None:
         device.check_addr(addr)
     for a in addrs:
-        sv.set_qubit(state, device.cell_qubits[a], 0, rng)
+        sv.reset_qubit(state, device.cell_qubits[a], rng)
         device.cell_status[a] = RESET
     return state
 

@@ -10,6 +10,7 @@ replayed gate-by-gate on a fresh state (the flattened-circuit cross-check).
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -79,13 +80,20 @@ class RunResult:
     error: str | None
     classical: dict                  # bit registers -> list[int], ints -> int
     final_state: sv.StateVector | None
-    memory_dump: list
     timeline: list                   # (t_start, op, duration)
     fidelity_estimate: float | None
     shot_log: list
     warnings: list
     trace: list                      # ("gate", GateSpec) | ("measure", q, outcome, prob, forced)
     num_qubits: int = 0
+    # memory_dump's arguments: the RAQM device with its cell statuses as the
+    # shot ended, and the final state
+    _dump_args: tuple | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def memory_dump(self) -> list:
+        """memdev.memory_dump of the shot's memory cells, computed on first read."""
+        return memdev.memory_dump(*self._dump_args) if self._dump_args else []
 
     def bitstring(self, reg: str) -> str:
         """MSB-first rendering of a bit register (element 0 rightmost)."""
@@ -128,7 +136,7 @@ def iter_shots(program: n.Program, seed: int, shots: int,
     if has_errors(diagnostics):
         raise ValidationFailure([d for d in diagnostics if d.severity == "error"])
     split = _rng_free_prefix(program.body)
-    prefix = _Interpreter(program, seed, config)
+    prefix = _Interpreter(program, config)
     prefix.run(program.body[:split])
     for i in range(shots):
         # no name here holds the shot, so a dropped result frees its state
@@ -169,10 +177,11 @@ class _QramBinding:
 
 
 class _Interpreter:
-    def __init__(self, program, seed, config):
+    def __init__(self, program, config):
         self.program = program
         self.config = config
-        self.reseed(seed)
+        # The RNG-free prefix runs without an RNG; `finish` seeds each shot's.
+        self.seed = self.rng = None
         self.error = None   # the shot error that stopped the shot, if any
         self.steps = 0
         self.trace = []
@@ -244,10 +253,6 @@ class _Interpreter:
 
     # -- execution ----------------------------------------------------------
 
-    def reseed(self, seed):
-        self.seed = seed
-        self.rng = np.random.default_rng(seed)
-
     def fork(self) -> "_Interpreter":
         """A copy of this shot so far that shares no mutable object with it."""
         other = copy.copy(self)
@@ -273,8 +278,9 @@ class _Interpreter:
         return other
 
     def finish(self, seed, stmts) -> RunResult:
-        """Reseed, run the rest of the shot and return its result."""
-        self.reseed(seed)
+        """Seed the shot's RNG, run the rest of the shot and return its result."""
+        self.seed = seed
+        self.rng = np.random.default_rng(seed)
         self.run(stmts)
         return self.result()
 
@@ -298,6 +304,11 @@ class _Interpreter:
         final = self.state
         if isinstance(final, sv.SupportState):
             final = final.to_dense()
+        dump_args = None
+        if self.mem:
+            cells = copy.copy(self.mem)
+            cells.cell_status = list(self.mem.cell_status)
+            dump_args = (cells, final)
         shot_entry = {
             "shot": self.seed,
             "status": status,
@@ -309,17 +320,16 @@ class _Interpreter:
             error=self.error,
             classical={**{k: list(v) for k, v in self.bits.items()}, **self.ints},
             final_state=final,
-            memory_dump=memdev.memory_dump(self.mem, final) if self.mem else [],
             timeline=self.timeline,
             fidelity_estimate=self.fidelity if self.config.timing else None,
             shot_log=[shot_entry],
             warnings=self.warnings,
             trace=self.trace,
             num_qubits=final.num_qubits,
+            _dump_args=dump_args,
         )
 
     def _step(self, stmt):
-        self.state = sv.held(self.state)  # a measurement or ld/st may have grown it
         self.steps += 1
         if self.steps > self.config.max_steps:
             raise ShotError(
@@ -462,6 +472,8 @@ class _Interpreter:
     # -- unitaries ------------------------------------------------------------
 
     def _apply(self, g: sv.GateSpec):
+        # `held` follows every operation that can grow a support state: gates
+        # here, then measure, reset, ld/st, qinit and circuit qld below.
         self.state = sv.held(sv.apply_gate(self.state, g))
         self.trace.append(("gate", g))
 
@@ -536,12 +548,11 @@ class _Interpreter:
         for q, idx in zip(qubits, bits):
             forced = self.config.post_select.get((reg, idx))
             if forced is None:
-                p1 = self.state.probability(q, 1)
-                outcome, _ = sv.measure_qubit(self.state, q, self.rng)
-                prob = p1 if outcome else 1.0 - p1
+                outcome, prob = sv._measure(self.state, q, self.rng)
             else:
                 prob, _ = sv.postselect_qubit(self.state, q, forced)
                 outcome = forced
+            self.state = sv.held(self.state)
             self.bits[reg][idx] = outcome
             self.measurements.append(
                 {"bit": f"{reg}[{idx}]", "outcome": outcome, "probability": prob,
@@ -554,6 +565,7 @@ class _Interpreter:
         """Measure-and-reset one qubit to |0>, recorded as a measurement and,
         if the outcome was 1, an X."""
         outcome = sv.reset_qubit(self.state, q, self.rng)
+        self.state = sv.held(self.state)
         self.trace.append(("measure", q, outcome, None, False))
         if outcome:
             self.trace.append(("gate", sv.gate("x", (q,))))
@@ -588,6 +600,7 @@ class _Interpreter:
             else:
                 self._cell_release(addr)  # occupancy ends when the load begins
                 memdev.raqm_load(self.mem, self.state, addr, q)
+            self.state = sv.held(self.state)
             # the device op applied one SWAP; mirror it into the trace
             self.trace.append(("gate", sv.gate("swap", (q, self.mem.cell_qubits[addr]))))
             self._tick("st" if store else "ld", self._raqm_duration(), fid)
@@ -623,6 +636,7 @@ class _Interpreter:
             raise ShotError("circuit backend does not support re-running qinit")
         # only the circuit backend materializes cells; the functional one has none
         qram.qinit_load(binding.device, data, self.state)
+        self.state = sv.held(self.state)
         self.trace.extend(("gate", g) for g in qram.qinit_gates(binding.device))
         self._tick(f"qinit:{stmt.name}", self._gate_time())
 
@@ -650,6 +664,7 @@ class _Interpreter:
                                  qram.Coupling.CNOT)
             program = qram.build_router_program(device, mode, layout)
             sv.apply_basis_permutation(self.state, program)
+            self.state = sv.held(self.state)
             self.trace.extend(("gate", g) for g in program)
         duration = device.addr_len * (self.config.timing.qram_stage_time
                                       if self.config.timing else 0.0)

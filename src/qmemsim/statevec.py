@@ -27,7 +27,9 @@ numpy release pyproject.toml requires, on the CPU they run on.
 
 from __future__ import annotations
 
+import collections
 import copy
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -210,7 +212,9 @@ def apply_gate(state: StateVector, g: GateSpec) -> StateVector:
 
     Works on strided views of the amplitude tensor, with fast paths for
     permutation matrices (X/CNOT/SWAP families) and diagonal matrices
-    (phase gates), so no index arrays are ever materialized.
+    (phase gates), so no index arrays are ever materialized. Where the views
+    lie depends on the gate's qubits alone, so it is planned once per
+    structure (_plan); each call only builds the matrix and picks the path.
 
     The permutation and dense paths copy their inputs one block of at most
     _DENSE_BLOCK amplitudes per view at a time (see _blocks), so every
@@ -225,68 +229,80 @@ def apply_gate(state: StateVector, g: GateSpec) -> StateVector:
     if isinstance(state, SupportState):
         state._apply(g)
         return state
-    n = state.num_qubits
-    mat = _checked_matrix(n, g)
-    k = len(g.targets)
-
-    # Reshape so that only the touched qubits get their own (size-2) axis;
-    # untouched runs of qubits stay fused, keeping views few-dimensional.
-    special = sorted(set(g.targets) | set(g.controls), reverse=True)
-    dims = []
-    axis_of = {}
-    prev = n
-    for b in special:
-        dims.append(1 << (prev - b - 1))
-        axis_of[b] = len(dims)
-        dims.append(2)
-        prev = b
-    dims.append(1 << prev)
-    psi = state.amps.reshape(dims)
-
-    base = [slice(None)] * len(dims)
-    for q, v in zip(g.controls, g.values()):
-        base[axis_of[q]] = v
-    target_axes = [axis_of[q] for q in g.targets]
-
-    def view(combo, block=()):
-        idx = list(base)
-        for i, ax in enumerate(target_axes):
-            idx[ax] = (combo >> (k - 1 - i)) & 1
-        v = psi[tuple(idx)]
-        return v[block] if block else v
-
-    dim = 1 << k
+    mat, plan = _checked(state.num_qubits, g)
+    psi = state.amps.reshape(plan.dims)
+    views = plan.views
     path, rows = _kernel_path(g.kind, mat)
     if path == "diag":
-        _combine(path, mat, [view(j) if mat[j, j] != 1 else None for j in range(dim)])
+        _combine(path, mat, [psi[v] if mat[j, j] != 1 else None for j, v in enumerate(views)])
         return state
-    # A view spans the untouched runs dims[::2]: 2^(n - len(special)) amplitudes.
-    fits = 1 << (n - len(special)) <= _DENSE_BLOCK
-    for block in ((),) if fits else _blocks(dims[::2]):
+    for block in ((),) if plan.fits else _blocks(plan.dims[::2]):
         if path == "perm":
-            moved = {}
-            for src, dst in enumerate(rows):
-                if dst != src:
-                    moved[dst] = view(src, block).copy()
+            moved = {dst: psi[views[src]][block].copy()
+                     for src, dst in enumerate(rows) if dst != src}
             for dst, data in moved.items():
-                view(dst, block)[...] = data
+                psi[views[dst]][block] = data
         else:
-            outputs = _combine(path, mat, [view(j, block).copy() for j in range(dim)])
-            for i, out in enumerate(outputs):
-                view(i, block)[...] = out
+            outputs = _combine(path, mat, [psi[v][block].copy() for v in views])
+            for v, out in zip(views, outputs):
+                psi[v][block] = out
     return state
 
 
-def _checked_matrix(n, g: GateSpec):
-    """The gate's base matrix, once its qubits and width are checked."""
-    _check_gate_qubits(n, g)
+def _checked(n, g: GateSpec):
+    """The gate's base matrix and plan, once its qubits and width are checked."""
+    plan = _plan(n, g.targets, g.controls, g.control_values)
     mat = g.matrix()
-    k = len(g.targets)
-    if mat.shape != (1 << k, 1 << k):
+    if mat.shape != (len(plan.views),) * 2:
         raise ArgumentError(
-            f"gate {g.kind!r} expects {int(math.log2(mat.shape[0]))} targets, got {k}"
-        )
-    return mat
+            f"gate {g.kind!r} expects {int(math.log2(mat.shape[0]))} targets, "
+            f"got {len(g.targets)}")
+    return mat, plan
+
+
+# What apply_gate and SupportState need to know of a gate's qubits. dims: the
+# amplitude tensor's shape, a size-2 axis per touched qubit and one fused axis
+# per untouched run; views[j]: the index of the view where the targets read j
+# and the controls their values; fits: a view (dims[::2]) fits in one block;
+# mask, want: the controls' bits of a basis index and their values there;
+# offsets[j]: the targets' bits where they read j.
+_Plan = collections.namedtuple("_Plan", "dims views fits mask want offsets")
+
+
+@functools.lru_cache(maxsize=4096)
+def _plan(n, targets, controls, control_values) -> _Plan:
+    """A gate's _Plan, once its qubits are checked. It is keyed on structure
+    alone, never on params, so the angles of `u` gates cannot grow the cache;
+    a bad gate raises on every call (lru_cache keeps no exception)."""
+    seen = set()
+    for q in targets + controls:
+        _check_index(n, q)
+        if q in seen:
+            raise ArgumentError(f"qubit {q} repeated among targets/controls")
+        seen.add(q)
+    if not targets:
+        raise ArgumentError("gate needs at least one target")
+    values = control_values or (1,) * len(controls)
+    dims, axis_of, prev = [], {}, n
+    for b in sorted(set(targets) | set(controls), reverse=True):
+        dims += [1 << (prev - b - 1), 2]
+        axis_of[b] = len(dims) - 1
+        prev = b
+    dims.append(1 << prev)
+    index = [slice(None)] * len(dims)
+    for q, v in zip(controls, values):
+        index[axis_of[q]] = v
+    k = len(targets)
+    views, offsets = [], []
+    for j in range(1 << k):
+        bits = [(q, j >> (k - 1 - i) & 1) for i, q in enumerate(targets)]
+        for q, bit in bits:
+            index[axis_of[q]] = bit
+        views.append(tuple(index))
+        offsets.append(sum(bit << q for q, bit in bits))
+    return _Plan(tuple(dims), tuple(views), 1 << (n - len(axis_of)) <= _DENSE_BLOCK,
+                 sum(1 << q for q in controls), sum(v << q for q, v in zip(controls, values)),
+                 tuple(offsets))
 
 
 def _combine(path, mat, inputs):
@@ -341,17 +357,6 @@ def _blocks(shape):
         cuts.append(range(size))
 
 
-def _check_gate_qubits(n, g: GateSpec):
-    seen = set()
-    for q in g.targets + g.controls:
-        _check_index(n, q)
-        if q in seen:
-            raise ArgumentError(f"qubit {q} repeated among targets/controls")
-        seen.add(q)
-    if not g.targets:
-        raise ArgumentError("gate needs at least one target")
-
-
 # Gate kinds that map each basis state to one basis state, with their widths.
 _PERMUTATION_TARGETS = {"x": 1, "cnot": 2, "swap": 2}
 # Bit flips on qubit 63 would overflow the int64 index arrays.
@@ -373,19 +378,15 @@ def permute_basis(indices, gates, num_qubits: int) -> np.ndarray:
     if idx.size and (idx.min() < 0 or idx.max() >> num_qubits):
         raise ArgumentError(f"basis index out of range for {num_qubits} qubits")
     for g in gates:
-        _check_gate_qubits(num_qubits, g)
+        plan = _plan(num_qubits, g.targets, g.controls, g.control_values)
         width = _PERMUTATION_TARGETS.get(g.kind)
         if width is None:
             raise ArgumentError(f"gate {g.kind!r} is not a basis permutation")
         if len(g.targets) != width:
             raise ArgumentError(
                 f"gate {g.kind!r} expects {width} targets, got {len(g.targets)}")
-        controls = dict(zip(g.controls, g.values()))
-        if g.kind == "cnot":
-            controls[g.targets[0]] = 1
-        mask = sum(1 << q for q in controls)
-        want = sum(v << q for q, v in controls.items())
-        active = (idx & mask) == want
+        on = 1 << g.targets[0] if g.kind == "cnot" else 0  # the CNOT's control
+        active = (idx & (plan.mask | on)) == plan.want | on
         if g.kind == "swap":
             a, b = g.targets
             active &= ((idx >> a) ^ (idx >> b)) & 1 == 1  # bits differ
@@ -434,8 +435,9 @@ def _inspect(mat):
     return "dense", None
 
 
-# The constant-matrix kinds, inspected once. Nothing else is cached: a cache
-# keyed on parameters would fill with every distinct angle of a `u` gate.
+# The constant-matrix kinds, inspected once. Apart from these, only a gate's
+# structure is cached (_plan): a cache keyed on parameters would fill with
+# every distinct angle of a `u` gate.
 _FIXED_PATHS = {kind: _inspect(GateSpec(kind, ()).matrix())
                 for kind in ("h", "x", "cnot", "swap")}
 
@@ -474,10 +476,16 @@ def embed_low(small: StateVector, total_qubits: int, labels=None) -> StateVector
 
 def measure_qubit(state: StateVector, qubit: int, rng) -> tuple[int, StateVector]:
     """Born-rule measurement of one qubit; collapses and renormalizes in place."""
+    return _measure(state, qubit, rng)[0], state
+
+
+def _measure(state, qubit, rng) -> tuple[int, float]:
+    """measure_qubit's work; returns the outcome and its probability."""
     p1 = state.probability(qubit, 1)
     outcome = 1 if rng.random() < p1 else 0
-    _project(state, qubit, outcome, p1 if outcome else 1.0 - p1)
-    return outcome, state
+    prob = p1 if outcome else 1.0 - p1
+    _project(state, qubit, outcome, prob)
+    return outcome, prob
 
 
 def postselect_qubit(state: StateVector, qubit: int, outcome: int) -> tuple[float, StateVector]:
@@ -520,12 +528,6 @@ def reset_qubit(state: StateVector, qubit: int, rng, value: int = 0) -> int:
     if outcome != value:
         apply_gate(state, gate("x", (qubit,)))
     return outcome
-
-
-def set_qubit(state: StateVector, qubit: int, value: int, rng) -> StateVector:
-    """Measure-and-discard reset of one qubit to |value> (collapses partners)."""
-    reset_qubit(state, qubit, rng, value)
-    return state
 
 
 class SupportState:
@@ -603,7 +605,7 @@ class SupportState:
     #    and _project -------------------------------------------------------
 
     def _apply(self, g: GateSpec):
-        mat = _checked_matrix(self.num_qubits, g)
+        mat, plan = _checked(self.num_qubits, g)
         if not np.isfinite(mat).all():
             raise ArgumentError(f"gate {g.kind!r} has a non-finite matrix entry")
         path, _ = _kernel_path(g.kind, mat)
@@ -611,25 +613,21 @@ class SupportState:
         if path == "perm":
             self._set(permute_basis(index, [g], self.num_qubits), values)
         else:
-            k = len(g.targets)
-            mask = sum(1 << q for q in g.controls)
-            active = index & mask == sum(v << q for q, v in zip(g.controls, g.values()))
-            offsets = [sum((j >> (k - 1 - i) & 1) << q for i, q in enumerate(g.targets))
-                       for j in range(len(mat))]
+            active = index & plan.mask == plan.want
             if path == "diag":
                 # numpy multiplies a one-element array in place without a
                 # fused multiply-add, so a part is padded to two elements
                 # unless the dense kernel's views hold one amplitude too.
                 spare = int(self.num_qubits > len(g.targets) + len(g.controls))
-                combo = index & offsets[-1]
-                parts = [active & (combo == off) for off in offsets]
+                combo = index & plan.offsets[-1]
+                parts = [active & (combo == off) for off in plan.offsets]
                 inputs = [np.append(values[p], np.zeros(spare, values.dtype)) for p in parts]
                 for part, out in zip(parts, _combine(path, mat, inputs)):
                     values[part] = out[:len(out) - spare]
             else:
                 # every group of 2^k amplitudes that meets the support
-                bases = np.unique(index[active] & ~offsets[-1])
-                members = [bases | off for off in offsets]
+                bases = np.unique(index[active] & ~plan.offsets[-1])
+                members = [bases | off for off in plan.offsets]
                 outputs = _combine(path, mat, [self._read(m) for m in members])
                 self._set(np.concatenate([index[~active]] + members),
                           np.concatenate([values[~active]] + outputs))

@@ -473,7 +473,7 @@ class TestShotFork:
     ])
     def test_fork_shares_no_mutable_object(self, src, config):
         program = qmasm.parse_program(src)
-        base = interpreter._Interpreter(program, 0, config)
+        base = interpreter._Interpreter(program, config)
         base.run(program.body[:interpreter._rng_free_prefix(program.body)])
         other = base.fork()
         assert not np.shares_memory(base.state.amps, other.state.amps)
@@ -544,7 +544,7 @@ class TestSupportRepresentation:
         monkeypatch.setattr(sv, "held", lambda state: state)
         program = qmasm.parse_program(QLD_RESET)
         split = interpreter._rng_free_prefix(program.body)
-        base = interpreter._Interpreter(program, 0, qmasm.RunConfig(backend="circuit"))
+        base = interpreter._Interpreter(program, qmasm.RunConfig(backend="circuit"))
         base.run(program.body[:split])
         other = base.fork()
         assert isinstance(base.state, sv.SupportState)
@@ -558,15 +558,66 @@ class TestSupportRepresentation:
         src = HEADER + "qubit[16] q;\nbit[2] c;\nh q[0:3];\nmeasure q[0:1] -> c;\nh q;\n" \
             "U(0.3, 0.2, 0.1) q[4];\nmeasure q[5:6] -> c;\n"
         program = qmasm.parse_program(src)
-        interp = interpreter._Interpreter(program, 5, qmasm.RunConfig())
+        interp = interpreter._Interpreter(program, qmasm.RunConfig())
         assert isinstance(interp.state, sv.SupportState)
-        interp.run(program.body[:4])
+        interp.finish(5, program.body[:4])  # seeds the shot's RNG
         assert isinstance(interp.state, sv.SupportState)
         interp.run(program.body[4:])
         assert isinstance(interp.state, sv.StateVector)
         changed = shot_fields(interp.result())
         monkeypatch.setattr(sv, "zero_state", dense_state)
         assert shot_fields(qmasm.run_shots(program, 5, 1)[0]) == changed
+
+
+class TestLazyMemoryDump:
+    """RunResult.memory_dump is computed on first read, from the final state
+    and the cell statuses as the shot ended."""
+
+    @staticmethod
+    def count_dumps(monkeypatch):
+        calls = []
+        dump = memdev.memory_dump
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dump(*args, **kwargs)
+
+        monkeypatch.setattr(memdev, "memory_dump", counted)
+        return calls
+
+    def test_computed_once_on_first_read(self, monkeypatch):
+        calls = self.count_dumps(monkeypatch)
+        src = assets.example_path("qft_amplitude_clean.qmasm").read_text()
+        results = qmasm.run_shots(qmasm.parse_program(src), 3, 50)
+        assert calls == []
+        first = results[7].memory_dump
+        assert len(first) == 4 and results[7].memory_dump is first
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name, src, config", list(golden_cases()),
+                             ids=[c[0] for c in golden_cases()])
+    def test_equals_dump_at_result_time(self, name, src, config, monkeypatch):
+        ended = []  # per shot: the RAQM device and its cell statuses at result time
+        result = interpreter._Interpreter.result
+
+        def recording(self):
+            ended.append(self.mem and (self.mem, list(self.mem.cell_status)))
+            return result(self)
+
+        monkeypatch.setattr(interpreter._Interpreter, "result", recording)
+        shots = outcome(lambda: qmasm.run_shots(qmasm.parse_program(src), 9, 3, config))
+        if isinstance(shots, str):  # the layout was rejected before any shot
+            return
+        assert len(ended) == len(shots) == 3
+        for r, mem in zip(shots, ended):
+            if mem is None:
+                assert r.memory_dump == []
+                continue
+            device, status = mem
+            device.cell_status[:] = ["changed"] * device.capacity  # after the shot
+            want = memdev.memory_dump(memdev.RaqmDevice(device.cell_qubits, status),
+                                      r.final_state)
+            assert r.memory_dump == want
 
 
 class TestNonFiniteNumbers:

@@ -398,6 +398,33 @@ class TestKernelPath:
         assert set(sv._FIXED_PATHS) == {"h", "x", "cnot", "swap"}
 
 
+class TestPlanCache:
+    """apply_gate plans a gate once per structure (qubits, controls, control
+    values), never per parameter, and rejects a bad gate on every call."""
+
+    def test_angles_share_one_plan(self):
+        sv._plan.cache_clear()
+        rng = np.random.default_rng(1)
+        s = sv.init_state(3)
+        for params in rng.uniform(0, 2 * math.pi, size=(1000, 3)):
+            sv.apply_gate(s, sv.gate("u", (1,), params, (2,)))
+        assert sv._plan.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("targets, controls", [
+        ((0, 0), ()), ((1,), (1,)), ((0, 2), (2,)), ((3,), ()), ((0,), (5,)),
+        ((-1,), ()), ((), (0,))])
+    def test_bad_qubits_rejected_on_every_call(self, targets, controls):
+        g = sv.GateSpec("swap" if len(targets) == 2 else "x", targets, (), controls)
+        for state in (sv.init_state(3, 5), sv.SupportState.basis(3, 5)):
+            for _ in range(2):
+                with pytest.raises(ArgumentError):
+                    sv.apply_gate(state, g)
+                with pytest.raises(ArgumentError):
+                    sv.permute_basis([5], [g], 3)
+            dense = state.to_dense() if isinstance(state, sv.SupportState) else state
+            assert dense.amps.tobytes() == sv.init_state(3, 5).amps.tobytes()
+
+
 def whole_view_apply(state, g):
     """The whole-view kernel: apply_gate with every view of the permutation
     and dense paths copied at once. The reference that the blocked kernel
