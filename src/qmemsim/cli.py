@@ -65,7 +65,7 @@ def cmd_run(args) -> int:
     path = assets.resolve(args.program)
     try:
         source = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.program}: {exc}", file=sys.stderr)
         return 2
 
@@ -172,7 +172,7 @@ def cmd_metrics(args) -> int:
         for d in exc.diagnostics:
             print(f"dataset error: {d}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.dataset}: {exc}", file=sys.stderr)
         return 2
 
@@ -189,8 +189,15 @@ def cmd_metrics(args) -> int:
         if not expected_path.exists():
             print(f"error: no expected-value file {expected_path}", file=sys.stderr)
             return 1
-        results = metrics_mod.check_against_expected(
-            records, metrics_mod.load_expected(expected_path))
+        try:
+            expected = metrics_mod.load_expected(expected_path)
+        except DatasetError as exc:
+            print(f"dataset error: {exc}", file=sys.stderr)
+            return 1
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read {expected_path}: {exc}", file=sys.stderr)
+            return 2
+        results = metrics_mod.check_against_expected(records, expected)
         for r in results:
             flag = "PASS" if r.passed else "FAIL"
             print(f"{flag}\t{r.name}\t{r.metric}\tcomputed={r.computed:.6g}\t"
@@ -203,7 +210,12 @@ def cmd_metrics(args) -> int:
 
     if args.fig2:
         points, (lo, hi) = metrics_mod.emit_fig2_points(records)
-        with open(args.fig2, "w", newline="", encoding="utf-8") as fh:
+        try:
+            fh = open(args.fig2, "w", newline="", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.fig2}: {exc}", file=sys.stderr)
+            return 2
+        with fh:
             w = csv.writer(fh)
             w.writerow(["name", "alpha_in", "alpha_ex_plotted", "clamped"])
             for p in points:

@@ -281,8 +281,13 @@ class RegressionRow:
 
 
 def load_expected(path) -> list[dict]:
+    """Rows of an expected-value CSV; raises DatasetError if it has no
+    `name` column."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        if "name" not in (reader.fieldnames or ()):
+            raise DatasetError([f"{path}: no name column"])
+        return list(reader)
 
 
 def check_against_expected(records, expected_rows) -> list[RegressionRow]:
@@ -294,7 +299,7 @@ def check_against_expected(records, expected_rows) -> list[RegressionRow]:
     by_name = {rec.name: rec for rec in records}
     out = []
     for row in expected_rows:
-        name = row["name"].strip()
+        name = (row["name"] or "").strip()  # None in a row cut short
         rec = by_name.get(name)
         if rec is None:
             out.append(RegressionRow(name, "missing-record", float("nan"), "", False))

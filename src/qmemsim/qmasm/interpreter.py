@@ -118,16 +118,24 @@ def run_shots(program: n.Program, seed: int, shots: int,
 def iter_shots(program: n.Program, seed: int, shots: int,
                config: RunConfig | None = None):
     """Independent shots with seeds seed, seed+1, ... (deterministic), yielded
-    one RunResult at a time: a caller that drops each result before asking
-    for the next holds at most two states, the shared prefix and one shot.
+    one RunResult at a time. Each shot's result is identical to running the
+    whole program from scratch with its seed, including a shot error raised
+    in the prefix.
 
     The program is validated once, when the first result is asked for. Its
     leading top-level statements that contain no measure, reset or mreset
-    anywhere inside them draw nothing from the RNG, so they run once; every
-    shot then continues from a copy of that point with its own
-    `default_rng(seed + i)` (the last shot takes the original). Each shot's
-    result is identical to running the whole program from scratch with its
-    seed, including a shot error raised in the prefix.
+    anywhere inside them draw nothing from the RNG, so they run once; a shot
+    that runs continues from a copy of that point with its own
+    `default_rng(seed + i)` (the last shot takes the original).
+
+    A shot's result depends on its seed only through its draws, so a shot
+    whose draws follow an outcome path that an earlier shot of the call
+    finished is not run: it gets a copy of that shot's result, with its own
+    seed in `shot_log` (see _OutcomePaths). Finished shots are kept for this
+    only while together they fit about 1 MiB (_LEAF_BUDGET), and the last
+    shot keeps none. So a caller that drops each result before asking for the next
+    holds at most two states besides those kept leaves: the shared prefix
+    and one shot.
     """
     if shots < 1:
         return
@@ -138,10 +146,88 @@ def iter_shots(program: n.Program, seed: int, shots: int,
     split = _rng_free_prefix(program.body)
     prefix = _Interpreter(program, config)
     prefix.run(program.body[:split])
+    rest = program.body[split:]
+    paths = _OutcomePaths()
     for i in range(shots):
-        # no name here holds the shot, so a dropped result frees its state
-        yield (prefix if i == shots - 1 else prefix.fork()).finish(
-            seed + i, program.body[split:])
+        # no name here holds a shot that ran, so a dropped result frees its
+        # state; a leaf is held by `paths` anyway
+        leaf = paths.leaf(seed + i)
+        if leaf is not None:
+            yield leaf.replay(seed + i)
+        elif i < shots - 1:
+            yield prefix.fork().finish(seed + i, rest, paths)
+        else:
+            yield prefix.finish(seed + i, rest)
+
+
+# What the finished shots one iter_shots call keeps may take in all, in
+# bytes, and what one entry of a shot's trace, timeline or draws costs (the
+# entry with the objects it refers to, such as a GateSpec or a measurement
+# record; measured with tracemalloc on the bundled examples).
+_LEAF_BUDGET = 1 << 20
+_LIST_ENTRY_BYTES = 256
+
+
+class _PathNode:
+    """A point of a shot after the draws on the path to it: either its next
+    draw, with the p1 the draw is compared with and a child per outcome, or
+    the end of the shot, with the finished shot as `leaf`."""
+
+    __slots__ = ("p1", "next", "leaf")
+
+    def __init__(self):
+        self.p1 = None
+        self.next = [None, None]
+        self.leaf = None
+
+
+class _OutcomePaths:
+    """The outcome paths that the shots of one iter_shots call finished, as a
+    trie of their draws.
+
+    Every draw of a shot is `rng.random() < p1` in statevec._measure, and p1
+    depends only on the outcomes drawn before it. So a shot's own
+    `default_rng(seed)`, compared with the recorded p1 at each node, takes
+    the branch a full run would take; if that reaches a leaf, the full run
+    would end as that leaf did.
+    """
+
+    def __init__(self):
+        self.root = _PathNode()
+        self.free = _LEAF_BUDGET
+
+    def leaf(self, seed):
+        """The finished shot whose outcome path the shot with this seed
+        follows, or None if it leaves the trie first."""
+        node, rng = self.root, None
+        while node.p1 is not None:
+            if rng is None:
+                rng = np.random.default_rng(seed)
+            node = node.next[rng.random() < node.p1]
+            if node is None:
+                return None
+        return node.leaf
+
+    def add(self, shot):
+        """Keep a fork of this finished, not yet reported shot, with its path,
+        if it fits the budget."""
+        state = shot.state
+        if isinstance(state, sv.SupportState):
+            size = 24 * len(state.index) + 16 * len(state.zeros)
+        else:
+            size = 16 * len(state.amps)
+        size += _LIST_ENTRY_BYTES * (len(shot.trace) + len(shot.timeline)
+                                     + len(shot.draws))
+        if size > self.free:
+            return
+        self.free -= size
+        node = self.root
+        for p1, outcome in shot.draws:
+            node.p1 = p1
+            if node.next[outcome] is None:
+                node.next[outcome] = _PathNode()
+            node = node.next[outcome]
+        node.leaf = shot.fork()
 
 
 def aggregate_counts(results, reg: str) -> dict:
@@ -189,6 +275,7 @@ class _Interpreter:
         self.clock = 0.0
         self.fidelity = 1.0
         self.measurements = []
+        self.draws = []     # (p1, outcome) of each RNG draw, in order
         self.warnings = list(program.warnings)
         self.ints = {}
         self.bits = {}
@@ -259,7 +346,8 @@ class _Interpreter:
         other.state = self.state.copy()
         other.trace = list(self.trace)
         other.timeline = list(self.timeline)
-        other.measurements = list(self.measurements)
+        other.measurements = [dict(m) for m in self.measurements]
+        other.draws = list(self.draws)
         other.warnings = list(self.warnings)
         other.ints = dict(self.ints)
         other.bits = {name: list(reg) for name, reg in self.bits.items()}
@@ -277,12 +365,22 @@ class _Interpreter:
             other.qrams[name] = _QramBinding(device, binding.layout)
         return other
 
-    def finish(self, seed, stmts) -> RunResult:
-        """Seed the shot's RNG, run the rest of the shot and return its result."""
+    def finish(self, seed, stmts, paths=None) -> RunResult:
+        """Seed the shot's RNG, run the rest of the shot and return its result,
+        after adding the finished shot to `paths` (an _OutcomePaths) if given."""
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.run(stmts)
+        if paths is not None:
+            paths.add(self)
         return self.result()
+
+    def replay(self, seed) -> RunResult:
+        """The result of the shot with this seed, given that its draws follow
+        the outcome path of this finished shot; this shot is left as it is."""
+        shot = self.fork()
+        shot.seed = seed
+        return shot.result()
 
     def run(self, stmts):
         """Execute top-level statements, unless a shot error stopped the shot."""
@@ -548,7 +646,8 @@ class _Interpreter:
         for q, idx in zip(qubits, bits):
             forced = self.config.post_select.get((reg, idx))
             if forced is None:
-                outcome, prob = sv._measure(self.state, q, self.rng)
+                outcome, prob, p1 = sv._measure(self.state, q, self.rng)
+                self.draws.append((p1, outcome))
             else:
                 prob, _ = sv.postselect_qubit(self.state, q, forced)
                 outcome = forced
@@ -564,7 +663,8 @@ class _Interpreter:
     def _reset(self, q):
         """Measure-and-reset one qubit to |0>, recorded as a measurement and,
         if the outcome was 1, an X."""
-        outcome = sv.reset_qubit(self.state, q, self.rng)
+        outcome, p1 = sv._reset(self.state, q, self.rng)
+        self.draws.append((p1, outcome))
         self.state = sv.held(self.state)
         self.trace.append(("measure", q, outcome, None, False))
         if outcome:

@@ -479,13 +479,15 @@ def measure_qubit(state: StateVector, qubit: int, rng) -> tuple[int, StateVector
     return _measure(state, qubit, rng)[0], state
 
 
-def _measure(state, qubit, rng) -> tuple[int, float]:
-    """measure_qubit's work; returns the outcome and its probability."""
+def _measure(state, qubit, rng) -> tuple[int, float, float]:
+    """measure_qubit's work; returns the outcome, its probability and p1, the
+    probability of outcome 1: the outcome is 1 exactly if the one draw
+    `rng.random()` is below p1."""
     p1 = state.probability(qubit, 1)
     outcome = 1 if rng.random() < p1 else 0
     prob = p1 if outcome else 1.0 - p1
     _project(state, qubit, outcome, prob)
-    return outcome, prob
+    return outcome, prob, p1
 
 
 def postselect_qubit(state: StateVector, qubit: int, outcome: int) -> tuple[float, StateVector]:
@@ -524,10 +526,15 @@ def reset_qubit(state: StateVector, qubit: int, rng, value: int = 0) -> int:
 
     Returns the measured outcome; entangled partners collapse with it.
     """
-    outcome, _ = measure_qubit(state, qubit, rng)
+    return _reset(state, qubit, rng, value)[0]
+
+
+def _reset(state, qubit, rng, value=0) -> tuple[int, float]:
+    """reset_qubit's work; returns the outcome and its draw's p1 (see _measure)."""
+    outcome, _, p1 = _measure(state, qubit, rng)
     if outcome != value:
         apply_gate(state, gate("x", (qubit,)))
-    return outcome
+    return outcome, p1
 
 
 class SupportState:
@@ -575,9 +582,10 @@ class SupportState:
         pattern is written only if it holds a -0, then the support."""
         amps = np.zeros(1 << self.num_qubits, dtype=np.complex128)
         if np.signbit(self.zeros.view(np.float64)).any():
-            # The zeros repeat with the period of their highest qubit: one
-            # period, widened to a kernel block, is written, then copied on.
-            period = max(2 << max(self.zero_qubits, default=-1),
+            # The zeros repeat with the period of their highest qubit (1 for
+            # a table keyed by no qubit): one period, widened to a kernel
+            # block, is written, then copied on.
+            period = max(1 << (max(self.zero_qubits, default=-1) + 1),
                          min(_DENSE_BLOCK, amps.size))
             dims, shape, prev = [], [], period.bit_length() - 1
             for q in reversed(self.zero_qubits):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qmemsim import cli
+from qmemsim import assets, cli
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +53,14 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "missing.qmasm")
         assert code == 2
         assert "cannot read" in err
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.qmasm"
+        bad.write_bytes(b"\xff\xfeOPENQASM 3;\n")
+        code, out, err = run_cli(capsys, "run", str(bad))
+        assert code == 2
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
+        assert err.count("\n") == 1 and out == ""
 
     def test_validation_error_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.qmasm"
@@ -184,6 +192,47 @@ class TestMetrics:
         code, _, err = run_cli(capsys, "metrics", str(bad))
         assert code == 1
         assert "row 2" in err
+
+    def test_non_utf8_dataset_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"name,t_storage_s\n\xff\n")
+        code, out, err = run_cli(capsys, "metrics", str(bad))
+        assert code == 2
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
+        assert err.count("\n") == 1 and out == ""
+
+    @staticmethod
+    def with_expected(tmp_path, expected: bytes):
+        """A copy of table1.csv at t.csv, with `expected` as t_expected.csv."""
+        table = tmp_path / "t.csv"
+        table.write_bytes(assets.data_path("table1.csv").read_bytes())
+        (tmp_path / "t_expected.csv").write_bytes(expected)
+        return str(table)
+
+    def test_non_utf8_expected_file_exits_2(self, capsys, tmp_path):
+        table = self.with_expected(tmp_path, b"name,alpha_in\n\xffx,1\n")
+        code, _, err = run_cli(capsys, "metrics", table, "--check-paper")
+        assert code == 2
+        assert err.startswith("error: cannot read ") and "t_expected.csv" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("expected, message", [
+        (b"label,alpha_in\nx,1\n", "dataset error: "),   # no name column
+        (b"alpha_in,name\n1\n", "FAIL\t\tmissing-record"),  # a row cut short
+    ], ids=["no-name-column", "short-row"])
+    def test_malformed_expected_file_exits_1(self, capsys, tmp_path, expected, message):
+        table = self.with_expected(tmp_path, expected)
+        code, _, err = run_cli(capsys, "metrics", table, "--check-paper")
+        assert code == 1
+        assert err.startswith(message) and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["missing/fig2.csv", "."])
+    def test_unwritable_fig2_path_exits_2(self, capsys, tmp_path, where):
+        target = tmp_path / where
+        code, _, err = run_cli(capsys, "metrics", "data/table1.csv", "--fig2", str(target))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
 
 
 class TestQramCheck:

@@ -1,7 +1,8 @@
 """Property tests: whatever the arguments and the program text, `cli.main`
 ends in exit code 0, 1 or 2 (or argparse's SystemExit(2)) and no other
 exception escapes; and every shot of a generated program, aborted ones
-included, leaves a state whose norm is 1 within statevec.NORM_TOL.
+included, leaves a state whose norm is 1 within statevec.NORM_TOL and
+equals a run of that shot on its own.
 
 Argument vectors draw each subcommand's flags from in-range and out-of-range
 values. Program texts are the packaged examples with a few tokens deleted,
@@ -24,6 +25,7 @@ from qmemsim import statevec as sv
 from qmemsim.errors import QmemError
 from qmemsim.qmasm import nodes
 from test_golden import QLD_RESET
+from test_qmasm_exec import shot_fields
 
 EXAMPLES = ("bell_store", "buffer_demo", "qft_amplitude", "qft_amplitude_clean")
 TOKEN = re.compile(r"\d+\.\d+|\w+|->|==|!=|<=|>=|\*\*|\S")
@@ -213,8 +215,12 @@ def test_every_shot_keeps_the_norm(name, changes, backend):
     assume(qubits_needed(text) <= MAX_FUZZ_QUBITS)
     config = qmasm.RunConfig(backend=backend, max_steps=FUZZ_MAX_STEPS)
     try:
-        results = qmasm.run_shots(qmasm.parse_program(text), 3, 2, config)
+        program = qmasm.parse_program(text)
+        results = qmasm.run_shots(program, 3, 6, config)
     except QmemError:
         return  # rejected before any shot ran: parse, validation or layout
     for r in results:
         assert r.final_state.norm_error() <= sv.NORM_TOL, (text, r.error)
+    # later shots that repeat an outcome path are replayed, not run
+    assert [shot_fields(r) for r in results] == \
+        [shot_fields(qmasm.execute(program, 3 + i, config)) for i in range(6)], text

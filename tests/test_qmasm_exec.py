@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,23 +430,82 @@ class TestShotFork:
     from-scratch run of the whole program with its own seed."""
 
     SHOTS = 4
+    # enough shots that later ones follow the outcome path of an earlier one
+    # and are replayed on every case
+    REPLAYED_SHOTS = 40
 
     @pytest.mark.parametrize("name, src, config", FORK_CASES,
                              ids=[c[0] for c in FORK_CASES])
     def test_shots_equal_from_scratch_runs(self, name, src, config):
+        self.check_against_scratch_runs(src, config, self.SHOTS)
+
+    @pytest.mark.parametrize("name, src, config", FORK_CASES,
+                             ids=[c[0] for c in FORK_CASES])
+    def test_replayed_shots_equal_from_scratch_runs(self, name, src, config, monkeypatch):
+        replays = []
+        replay = interpreter._Interpreter.replay
+
+        def counted(leaf, seed):
+            replays.append(seed)
+            return replay(leaf, seed)
+
+        monkeypatch.setattr(interpreter._Interpreter, "replay", counted)
+        if self.check_against_scratch_runs(src, config, self.REPLAYED_SHOTS):
+            assert replays
+
+    @staticmethod
+    def check_against_scratch_runs(src, config, shots) -> bool:
+        """Whether the program ran (True) or was rejected before its shots."""
         program = qmasm.parse_program(src)
         seed = 40
-        forked = outcome(lambda: qmasm.run_shots(program, seed, self.SHOTS, config))
+        forked = outcome(lambda: qmasm.run_shots(program, seed, shots, config))
         scratch = outcome(lambda: [qmasm.execute(program, seed + i, config)
-                                   for i in range(self.SHOTS)])
+                                   for i in range(shots)])
         if isinstance(scratch, str):
             assert forked == scratch
-            return
+            return False
         assert [shot_fields(r) for r in forked] == [shot_fields(r) for r in scratch]
         for a, b in itertools.combinations(forked, 2):
             assert not np.shares_memory(a.final_state.amps, b.final_state.amps)
             for field in ("trace", "timeline", "warnings", "shot_log"):
                 assert getattr(a, field) is not getattr(b, field)
+            for x, y in zip(a.shot_log[0]["measurements"], b.shot_log[0]["measurements"]):
+                assert x is not y
+        return True
+
+    def test_the_last_shot_keeps_no_leaf(self, monkeypatch):
+        kept = []
+        add = interpreter._OutcomePaths.add
+
+        def counted(paths, shot):
+            kept.append(shot.seed)
+            add(paths, shot)
+
+        monkeypatch.setattr(interpreter._OutcomePaths, "add", counted)
+        program = qmasm.parse_program(assets.example_path("bell_store.qmasm").read_text())
+        qmasm.execute(program, 3)
+        assert kept == []
+        results = qmasm.run_shots(program, 3, 20)
+        # bell_store has two outcome paths: each is run once, then replayed
+        assert len(kept) == 2 and kept[0] == 3
+        assert {r.bitstring("c") for r in results} == {"00", "11"}
+
+    @pytest.mark.parametrize("width", [13, 16])
+    def test_kept_leaves_do_not_grow_memory_with_shots(self, width):
+        """Every shot of `h q; measure q` follows its own outcome path, so an
+        unbounded cache would keep one state per shot."""
+        program = qmasm.parse_program(
+            HEADER + f"qubit[{width}] q;\nbit[{width}] c;\nh q;\nmeasure q -> c;\n")
+        peak = {}
+        for shots in (2, 40):
+            tracemalloc.start()
+            try:
+                for result in qmasm.iter_shots(program, 1, shots):
+                    del result
+                peak[shots] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak[40] - peak[2] < 2 << 20, peak
 
     def test_prefix_errors_reach_every_shot(self):
         cases = {c[0]: c for c in FORK_CASES}
