@@ -91,16 +91,21 @@ def raqm_load(device: RaqmDevice, state: sv.StateVector, addr: int, bus: int) ->
     return state
 
 
+def reset_addresses(device: RaqmDevice, addr: int | None):
+    """The cells a reset covers: every cell for None, else the checked `addr`."""
+    if addr is None:
+        return range(device.capacity)
+    device.check_addr(addr)
+    return (addr,)
+
+
 def raqm_reset(device: RaqmDevice, state: sv.StateVector, addr: int | None, rng) -> sv.StateVector:
     """Measure-and-discard reset of one cell (or all cells) to |0>.
 
     Entangled partners collapse accordingly; a unitary cannot unconditionally
     reset an entangled cell.
     """
-    addrs = range(device.capacity) if addr is None else [addr]
-    if addr is not None:
-        device.check_addr(addr)
-    for a in addrs:
+    for a in reset_addresses(device, addr):
         sv.reset_qubit(state, device.cell_qubits[a], rng)
         device.cell_status[a] = RESET
     return state

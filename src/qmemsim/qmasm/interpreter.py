@@ -711,10 +711,7 @@ class _Interpreter:
         if self.mem is None:
             raise ShotError("mreset without a mem declaration")
         addr = None if stmt.addr is None else self._int(stmt.addr)
-        targets = range(self.mem.capacity) if addr is None else [addr]
-        if addr is not None:
-            self.mem.check_addr(addr)
-        for a in targets:
+        for a in memdev.reset_addresses(self.mem, addr):
             self._reset(self.mem.cell_qubits[a])
             self.mem.cell_status[a] = memdev.RESET
             self._cell_release(a)

@@ -10,8 +10,16 @@ Every router-tree gate is a (controlled) X, CNOT or SWAP, so the program is a
 classical reversible circuit: `check_mode` and the interpreter's circuit
 `qld` run it on the basis indices of the input's support
 (`statevec.permute_basis`) rather than on the dense 2^n-amplitude state.
-`run_circuit_mode` applies it gate by gate to the dense state with
+`check_mode` maps the whole data block through each (addr_len, mode) program
+once (`_router_images`, cached) and indexes that map with its support.
+`run_circuit_mode` applies the program gate by gate to the dense state with
 `statevec.apply_gates` and stays as the reference the tests compare against.
+
+`check_mode`'s generic address circuit is re-rolled until every |c_j|^2
+clears a floor. The re-rolls are drawn and screened in batches, their
+minima in closed form; a minimum within a relative 1e-9 of the floor is
+decided by the exact gate-by-gate probe, and the RNG is rewound so that it
+ends where one-at-a-time draws would leave it.
 
 `oracle_gates` is the one builder of a classical-data oracle query (the
 address-controlled bus flips): `oracle_query`, the interpreter's functional
@@ -24,6 +32,7 @@ the package-wide little-endian convention (qubit/bit 0 is least significant).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -420,6 +429,8 @@ def entanglement_profile(state: sv.StateVector, device: QramDevice,
 # |0> or |1>. Degenerate draws are re-rolled (seeded, hence deterministic).
 
 _MAX_REROLLS = 500
+_SCREEN_BATCH = 16  # address candidates drawn and screened per numpy call
+_PROBE_MARGIN = 1e-9  # screened minima this close to the floor get the exact probe
 _OVERLAP_CAP = 0.85  # max |<a|b>|^2 between payload states (and vs |0>,|1>)
 
 
@@ -450,23 +461,86 @@ def _generic_single_qubit_params(rng, count):
 
 
 def _generic_address_circuit(rng, qubits):
-    """Random circuit on the address register with all |c_j|^2 bounded below."""
+    """Random circuit on the address register with all |c_j|^2 bounded below.
+
+    A candidate is a U layer, a CNOT chain and a second U layer, with angles
+    drawn per gate; the first candidate whose smallest |c_j|^2 reaches
+    floor = 1/(4 * 2^n) is kept, within _MAX_REROLLS candidates. The
+    candidates are drawn and screened _SCREEN_BATCH at a time
+    (`_address_mins`, in closed form); one whose screened minimum lies within
+    a relative _PROBE_MARGIN of the floor is decided by `_probe_min`, the
+    exact gate-by-gate run. The caller's RNG is then rewound and advanced
+    over exactly the candidates up to the kept one, so it ends where drawing
+    one candidate at a time would leave it.
+    """
     n = len(qubits)
     floor = 0.25 / (1 << n)
-    for _ in range(_MAX_REROLLS):
-        gates = []
-        for q in qubits:
-            gates.append(sv.gate("u", (q,), tuple(rng.uniform(0.3, np.pi - 0.3, 3))))
-        for a, b in zip(qubits, qubits[1:]):
-            gates.append(sv.gate("cnot", (a, b)))
-        for q in qubits:
-            gates.append(sv.gate("u", (q,), tuple(rng.uniform(0.3, np.pi - 0.3, 3))))
-        probe = sv.init_state(n)
-        sv.apply_gates(probe, [sv.GateSpec(g.kind, tuple(qubits.index(t) for t in g.targets),
-                                           g.params) for g in gates])
-        if np.min(np.abs(probe.amps) ** 2) >= floor:
-            return gates
+    start = rng.bit_generator.state
+    drawn = 0
+    while drawn < _MAX_REROLLS:
+        batch = _draw_address_angles(rng, n, min(_SCREEN_BATCH, _MAX_REROLLS - drawn))
+        mins = _address_mins(batch)
+        for i in np.flatnonzero(mins >= floor * (1 - _PROBE_MARGIN)):
+            gates = _address_gates(qubits, batch[i])
+            if mins[i] >= floor * (1 + _PROBE_MARGIN) or _probe_min(gates, qubits) >= floor:
+                rng.bit_generator.state = start
+                _draw_address_angles(rng, n, drawn + i + 1)
+                return gates
+        drawn += len(batch)
     raise RuntimeError("could not draw a generic address state")
+
+
+def _draw_address_angles(rng, n, count):
+    """`count` candidates' U angles, (count, 2n, 3): the doubles, in order,
+    that per-gate draws of three angles would give."""
+    return rng.uniform(0.3, np.pi - 0.3, (count, 2 * n, 3))
+
+
+def _address_gates(qubits, angles):
+    """U on each qubit, a CNOT chain, U on each qubit again: one candidate."""
+    n = len(qubits)
+    return ([sv.gate("u", (q,), tuple(p)) for q, p in zip(qubits, angles[:n])]
+            + [sv.gate("cnot", (a, b)) for a, b in zip(qubits, qubits[1:])]
+            + [sv.gate("u", (q,), tuple(p)) for q, p in zip(qubits, angles[n:])])
+
+
+def _probe_min(gates, qubits):
+    """Smallest |c_j|^2 of the address state, by the gates run one at a time."""
+    probe = sv.init_state(len(qubits))
+    sv.apply_gates(probe, [sv.GateSpec(g.kind, tuple(qubits.index(t) for t in g.targets),
+                                       g.params) for g in gates])
+    return np.min(np.abs(probe.amps) ** 2)
+
+
+def _address_mins(angles):
+    """Smallest |c_j|^2 of each candidate's address state, (K,) from (K, 2n, 3).
+
+    The first U layer on |0...0> is a product of the kets U[:, 0]; the CNOT
+    chain only moves amplitudes; the second layer acts qubit by qubit.
+    """
+    k, n = angles.shape[0], angles.shape[1] // 2
+    half = angles[..., 0] / 2
+    c, s = np.cos(half), np.sin(half)
+    e_phi, e_lam = np.exp(1j * angles[..., 1]), np.exp(1j * angles[..., 2])
+    u = np.array([[c, -e_lam * s], [e_phi * s, e_phi * e_lam * c]])  # (2, 2, K, 2n)
+    amps = u[:, 0, :, 0].T
+    for q in range(1, n):  # qubit q becomes bit q of the index
+        amps = (u[:, 0, :, q].T[:, :, None] * amps[:, None, :]).reshape(k, -1)
+    chained = np.empty_like(amps)
+    chained[:, _cnot_chain_images(n)] = amps
+    for q in range(n):
+        view = chained.reshape(k, 1 << (n - 1 - q), 2, 1 << q)
+        chained = np.einsum("abk,kxby->kxay", u[:, :, :, n + q], view).reshape(k, -1)
+    return np.min(np.abs(chained) ** 2, axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _cnot_chain_images(n):
+    """Image of each basis index of n qubits under CNOT(0,1), ..., CNOT(n-2,n-1)."""
+    images = sv.permute_basis(np.arange(1 << n),
+                              [sv.gate("cnot", (q, q + 1)) for q in range(n - 1)], n)
+    images.setflags(write=False)
+    return images
 
 
 def _random_bits(rng, count):
@@ -540,10 +614,14 @@ def check_mode(addr_len: int, mode: QramMode, seed: int,
     The input is prepared on the data qubits only (addr+bus+memory, the low
     block of the layout), the functional reference evolves there, and the
     circuit backend runs on the full layout with ancillas in |0>. The router
-    program only permutes basis states, so it runs on the indices of the
-    input's support; the images that land in the low block (all ancillas
-    |0>) are scattered into one vector, and no full-layout state is built
-    except for the exact ancilla purity on layouts of at most 14 qubits.
+    program only permutes basis states: the image of every data-block index
+    is built once per (addr_len, mode) (`_router_images`) and the input's
+    support is looked up in it. The images that land in the low block (all
+    ancillas |0>) are scattered into one vector, and no full-layout state is
+    built except for the exact ancilla purity on layouts of at most 14 qubits.
+    The input's address circuit comes from `_generic_address_circuit`, which
+    screens its re-rolls in batches and leaves the seed's RNG stream as a
+    one-at-a-time draw would.
     The final fidelity is <circuit | reference x 0_ancilla>; the weight of
     the all-zero ancilla configuration doubles as a purity lower bound
     (p^2 <= Tr rho^2).
@@ -552,8 +630,7 @@ def check_mode(addr_len: int, mode: QramMode, seed: int,
     profile = entanglement_profile(reference, device, layout.addr, layout.bus)
 
     support = np.flatnonzero(small.amps != 0)
-    images = sv.permute_basis(support, build_router_program(device, mode, layout),
-                              layout.total_qubits)
+    images = _router_images(addr_len, mode)[support]
     in_low = images < small.amps.size
     low = np.zeros_like(small.amps)
     low[images[in_low]] = small.amps[support[in_low]]
@@ -572,6 +649,20 @@ def check_mode(addr_len: int, mode: QramMode, seed: int,
         and profile.pattern == expected
     return ModeCheckResult(addr_len, mode.name, seed, fidelity, p_zero, purity,
                            profile.pattern, expected, passed)
+
+
+@functools.lru_cache(maxsize=None)
+def _router_images(addr_len: int, mode: QramMode) -> np.ndarray:
+    """Image of every data-block basis index (ancillas |0>) under the router
+    program of one mode, on the full word_len = 1 layout; read-only, and
+    built once per (addr_len, mode)."""
+    layout = circuit_layout(addr_len)
+    device = QramDevice(addr_len=addr_len, memory_qubits=layout.memory)
+    program = build_router_program(device, mode, layout)
+    images = sv.permute_basis(np.arange(1 << layout.data_qubits), program,
+                              layout.total_qubits)
+    images.setflags(write=False)
+    return images
 
 
 def profile_mode(addr_len: int, mode: QramMode, seed: int,

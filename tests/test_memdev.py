@@ -161,6 +161,13 @@ class TestRaqmReset:
         with pytest.raises(AddressError):
             md.raqm_reset(dev, state, 9, np.random.default_rng(0))
 
+    def test_reset_addresses(self):
+        dev, _ = make_raqm()
+        assert list(md.reset_addresses(dev, None)) == [0, 1, 2, 3]
+        assert list(md.reset_addresses(dev, 2)) == [2]
+        with pytest.raises(AddressError, match="address 4 out of range"):
+            md.reset_addresses(dev, 4)
+
 
 class TestBuffer:
     def make(self, capacity=2):

@@ -100,6 +100,17 @@ mreset 0;
             f = line.split("\t")
             assert f[1] == "reset" and f[3].startswith("|0>:1.0")
 
+    def test_mreset_takes_its_cells_from_the_device_model(self, monkeypatch):
+        chosen = []
+        reset_addresses = memdev.reset_addresses
+        monkeypatch.setattr(memdev, "reset_addresses",
+                            lambda dev, addr: chosen.append(addr) or reset_addresses(dev, addr))
+        src = HEADER + "qubit[1] q;\nmem 2;\nmreset 1;\nmreset;\n"
+        run(src)
+        assert chosen == [1, None]
+        with pytest.raises(QmemError, match="address 2 out of range"):
+            run(src.replace("mreset 1;", "mreset 2;"))
+
     def test_user_gate_phase(self):
         src = HEADER + """
 gate cr(n) c, t { angle p = (2*pi)/(2**n); ctrl @ U(0, 0, p) c, t; }

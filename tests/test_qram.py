@@ -330,3 +330,113 @@ class TestBasisAddressReduction:
             raqm = md.RaqmDevice(cell_qubits=dev.memory_qubits)
             md.raqm_store(raqm, twin, addr, bus=2)
             assert sv.state_fidelity(state, twin) >= 1 - 1e-12
+
+
+def reference_address_circuit(rng, qubits):
+    """The address draw one candidate at a time: each candidate's gates are
+    built and run on a probe before the next is drawn."""
+    n = len(qubits)
+    floor = 0.25 / (1 << n)
+    for _ in range(qram._MAX_REROLLS):
+        gates = []
+        for q in qubits:
+            gates.append(sv.gate("u", (q,), tuple(rng.uniform(0.3, np.pi - 0.3, 3))))
+        for a, b in zip(qubits, qubits[1:]):
+            gates.append(sv.gate("cnot", (a, b)))
+        for q in qubits:
+            gates.append(sv.gate("u", (q,), tuple(rng.uniform(0.3, np.pi - 0.3, 3))))
+        probe = sv.init_state(n)
+        sv.apply_gates(probe, [sv.GateSpec(g.kind, tuple(qubits.index(t) for t in g.targets),
+                                           g.params) for g in gates])
+        if np.min(np.abs(probe.amps) ** 2) >= floor:
+            return gates
+    raise RuntimeError("could not draw a generic address state")
+
+
+def gate_bytes(gates):
+    """Each gate's kind, qubits and the bytes of its float64 parameters."""
+    return [(g.kind, g.targets, g.controls, g.control_values,
+             np.array(g.params, dtype=np.float64).tobytes()) for g in gates]
+
+
+def draw_both(n, seed):
+    """(gates or None, final RNG state) of the batched draw and the reference."""
+    out = []
+    for draw in (qram._generic_address_circuit, reference_address_circuit):
+        rng = np.random.default_rng(seed)
+        # the address register sits above two other qubits, as in a layout
+        try:
+            gates = gate_bytes(draw(rng, list(range(2, 2 + n))))
+        except RuntimeError:
+            gates = None
+        out.append((gates, rng.bit_generator.state))
+    return out
+
+
+class TestAddressDraw:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_same_gates_and_rng_state_as_reference(self, n):
+        for seed in range(200):
+            batched, reference = draw_both(n, seed)
+            assert batched[0] is not None
+            assert batched == reference, seed
+
+    @pytest.mark.parametrize("limit", [1, 2, 3])
+    def test_reroll_limit_raises_with_reference(self, monkeypatch, limit):
+        monkeypatch.setattr(qram, "_MAX_REROLLS", limit)
+        outcomes = set()
+        for n in (1, 2, 3):
+            for seed in range(40):
+                batched, reference = draw_both(n, seed)
+                assert batched == reference, (n, seed)
+                outcomes.add(batched[0] is None)
+        assert outcomes == {True, False}  # some seeds raise, some draw
+
+    def test_exact_probe_alone_gives_the_same_results(self, monkeypatch):
+        cases = [(n, mode, seed) for n in (1, 2, 3) for mode in qram.ALL_MODES
+                 for seed in (0, 1)]
+        screened = [qram.check_mode(*case) for case in cases]
+        probes = []
+        probe_min = qram._probe_min
+        monkeypatch.setattr(qram, "_PROBE_MARGIN", 1e9)
+        monkeypatch.setattr(qram, "_probe_min",
+                            lambda *a: probes.append(1) or probe_min(*a))
+        assert [qram.check_mode(*case) for case in cases] == screened
+        assert len(probes) >= len(cases)  # every candidate went to the probe
+        for n in (1, 2, 3):
+            for seed in range(20):
+                batched, reference = draw_both(n, seed)
+                assert batched == reference
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_form_mins_match_the_probe(self, n):
+        qubits = list(range(1, 1 + n))
+        angles = qram._draw_address_angles(np.random.default_rng(n), n, 400)
+        mins = qram._address_mins(angles)
+        exact = [qram._probe_min(qram._address_gates(qubits, a), qubits) for a in angles]
+        assert np.max(np.abs(mins - exact)) <= 1e-12
+
+
+class TestRouterImages:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("mode", [m.name for m in qram.ALL_MODES])
+    def test_equal_to_the_router_program(self, mode, n):
+        mode = qram.QramMode.parse(mode)
+        layout = qram.circuit_layout(n)
+        dev = qram.QramDevice(addr_len=n, memory_qubits=layout.memory)
+        expect = sv.permute_basis(np.arange(1 << layout.data_qubits),
+                                  qram.build_router_program(dev, mode, layout),
+                                  layout.total_qubits)
+        images = qram._router_images(n, mode)
+        assert np.array_equal(images, expect)
+        assert not images.flags.writeable
+
+    def test_built_once_per_mode(self, monkeypatch):
+        builds = []
+        build = qram.build_router_program
+        monkeypatch.setattr(qram, "build_router_program",
+                            lambda *a: builds.append(a[1]) or build(*a))
+        qram._router_images.cache_clear()
+        for seed in range(16):
+            qram.check_mode(3, qram.ALL_MODES[seed % 8], seed)
+        assert len(builds) <= 8 and set(builds) == set(qram.ALL_MODES)
