@@ -9,7 +9,6 @@ replayed gate-by-gate on a fresh state (the flattened-circuit cross-check).
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import operator
@@ -22,7 +21,7 @@ from .. import statevec as sv
 from ..errors import (AddressError, ArgumentError, PostSelectionError,
                       QmemError, ResourceError, ShotError, ValidationFailure)
 from . import nodes as n
-from .validator import has_errors, validate
+from .validator import validate
 
 
 @dataclass
@@ -122,11 +121,19 @@ def iter_shots(program: n.Program, seed: int, shots: int,
     whole program from scratch with its seed, including a shot error raised
     in the prefix.
 
-    The program is validated once, when the first result is asked for. Its
+    The program is validated when the first result is asked for. Its
     leading top-level statements that contain no measure, reset or mreset
-    anywhere inside them draw nothing from the RNG, so they run once; a shot
-    that runs continues from a copy of that point with its own
-    `default_rng(seed + i)` (the last shot takes the original).
+    anywhere inside them draw nothing from the RNG, so they run once (the
+    prefix); a shot that runs continues from a copy of that point with its
+    own `default_rng(seed + i)`.
+
+    A Program is immutable, so it keeps this work between calls, on itself
+    (see _Compiled): the validation outcome, the split and the prefix that
+    ran, with the repr of the RunConfig it ran under. A later call reuses the
+    prefix while its config has that repr and builds it again otherwise.
+    The prefix is kept only while its state and records fit _LEAF_BUDGET,
+    so a program holds at most about 1 MiB between calls; a larger prefix is
+    freed when the call ends, and its last shot takes the original.
 
     A shot's result depends on its seed only through its draws, so a shot
     whose draws follow an outcome path that an earlier shot of the call
@@ -140,13 +147,24 @@ def iter_shots(program: n.Program, seed: int, shots: int,
     if shots < 1:
         return
     config = config or RunConfig()
-    diagnostics = validate(program)
-    if has_errors(diagnostics):
-        raise ValidationFailure([d for d in diagnostics if d.severity == "error"])
-    split = _rng_free_prefix(program.body)
-    prefix = _Interpreter(program, config)
-    prefix.run(program.body[:split])
-    rest = program.body[split:]
+    compiled = program._compiled
+    if compiled is None:
+        compiled = _Compiled(program)
+        object.__setattr__(program, "_compiled", compiled)
+    if compiled.errors:
+        raise ValidationFailure(list(compiled.errors))
+    # repr, not ==: equal configs such as gate_time=1 and 1.0 put different
+    # values in a shot's timeline
+    key = repr(config)
+    prefix = compiled.prefix
+    if prefix is None or compiled.key != key:
+        compiled.prefix = compiled.key = None  # freed before a new one is built
+        prefix = _Interpreter(program, config)
+        prefix.run(program.body[:compiled.split])
+        if _footprint(prefix) <= _LEAF_BUDGET:
+            compiled.prefix, compiled.key = prefix, key
+    kept = prefix is compiled.prefix
+    rest = program.body[compiled.split:]
     paths = _OutcomePaths()
     for i in range(shots):
         # no name here holds a shot that ran, so a dropped result frees its
@@ -155,9 +173,22 @@ def iter_shots(program: n.Program, seed: int, shots: int,
         if leaf is not None:
             yield leaf.replay(seed + i)
         elif i < shots - 1:
-            yield prefix.fork().finish(seed + i, rest, paths)
+            yield prefix.fork(config).finish(seed + i, rest, paths)
         else:
-            yield prefix.finish(seed + i, rest)
+            yield (prefix.fork(config) if kept else prefix).finish(seed + i, rest)
+
+
+class _Compiled:
+    """What running one Program needs that no seed or config changes (its
+    error diagnostics and the end of its RNG-free prefix), and the prefix
+    last run with the repr of its config, while it fits _LEAF_BUDGET."""
+
+    __slots__ = ("errors", "split", "prefix", "key")
+
+    def __init__(self, program):
+        self.errors = [d for d in validate(program) if d.severity == "error"]
+        self.split = _rng_free_prefix(program.body)
+        self.prefix = self.key = None
 
 
 # What the finished shots one iter_shots call keeps may take in all, in
@@ -211,13 +242,7 @@ class _OutcomePaths:
     def add(self, shot):
         """Keep a fork of this finished, not yet reported shot, with its path,
         if it fits the budget."""
-        state = shot.state
-        if isinstance(state, sv.SupportState):
-            size = 24 * len(state.index) + 16 * len(state.zeros)
-        else:
-            size = 16 * len(state.amps)
-        size += _LIST_ENTRY_BYTES * (len(shot.trace) + len(shot.timeline)
-                                     + len(shot.draws))
+        size = _footprint(shot)
         if size > self.free:
             return
         self.free -= size
@@ -228,6 +253,18 @@ class _OutcomePaths:
                 node.next[outcome] = _PathNode()
             node = node.next[outcome]
         node.leaf = shot.fork()
+
+
+def _footprint(shot) -> int:
+    """What keeping a fork of this shot costs, in bytes: its state and the
+    entries of its trace, timeline and draws."""
+    state = shot.state
+    if isinstance(state, sv.SupportState):
+        size = 24 * len(state.index) + 16 * len(state.zeros)
+    else:
+        size = 16 * len(state.amps)
+    return size + _LIST_ENTRY_BYTES * (len(shot.trace) + len(shot.timeline)
+                                       + len(shot.draws))
 
 
 def aggregate_counts(results, reg: str) -> dict:
@@ -254,6 +291,14 @@ def replay_trace(trace, num_qubits: int) -> sv.StateVector:
             _, qubit, outcome = entry[:3]
             sv.postselect_qubit(state, qubit, outcome)
     return state
+
+
+def _raqm(cells, status, config) -> memdev.RaqmDevice:
+    """A RAQM device on these cell qubits with these cell statuses (all reset
+    if empty), timed and with the store policy as `config` says."""
+    return memdev.RaqmDevice(cell_qubits=cells, cell_status=status,
+                             timing=config.timing.raqm if config.timing else None,
+                             store_policy=config.store_policy)
 
 
 class _QramBinding:
@@ -290,79 +335,95 @@ class _Interpreter:
     # -- layout -----------------------------------------------------------
 
     def _build_layout(self):
-        cursor = 0
-        labels = []
-        mem_size = 0
-        qram_decls = []
+        qubit_decls, qrams, mem_size = [], [], 0
         for stmt in n.walk(self.program.body):
             if isinstance(stmt, n.QubitDecl):
-                self.qregs[stmt.name] = list(range(cursor, cursor + stmt.size))
-                labels += [f"{stmt.name}[{i}]" for i in range(stmt.size)]
-                cursor += stmt.size
+                qubit_decls.append(stmt)
             elif isinstance(stmt, n.MemDecl):
                 mem_size = stmt.size
             elif isinstance(stmt, n.QramDecl):
-                qram_decls.append(stmt)
+                device = qram.QramDevice(addr_len=stmt.addr_len, word_len=stmt.word_len)
+                blocks = ()
+                if self.config.backend == "circuit":
+                    if stmt.addr_len > qram.MAX_CIRCUIT_ADDR_BITS:
+                        raise ResourceError(
+                            f"qram {stmt.name!r}: circuit backend supports at most "
+                            f"{qram.MAX_CIRCUIT_ADDR_BITS} address bits, got {stmt.addr_len}")
+                    blocks = (("memory", device.num_cells),
+                              ("routers", device.num_addresses - 1),
+                              ("channels", stmt.addr_len))
+                qrams.append((stmt.name, device, blocks))
+
+        # every size is summed before any per-qubit list is built
+        total = sum(d.size for d in qubit_decls) + mem_size \
+            + sum(count for _, _, blocks in qrams for _, count in blocks)
+        if total == 0:
+            raise ArgumentError("program declares no qubits")
+        if total > sv.DEFAULT_MAX_QUBITS:
+            raise ResourceError(
+                f"program needs {total} qubits; budget is {sv.DEFAULT_MAX_QUBITS}")
+
+        cursor = 0
+        labels = []
+        for stmt in qubit_decls:
+            self.qregs[stmt.name] = list(range(cursor, cursor + stmt.size))
+            labels += [f"{stmt.name}[{i}]" for i in range(stmt.size)]
+            cursor += stmt.size
 
         if mem_size:
             cells = tuple(range(cursor, cursor + mem_size))
             labels += [f"mem[{i}]" for i in range(mem_size)]
             cursor += mem_size
-            timing = self.config.timing.raqm if self.config.timing else None
-            self.mem = memdev.RaqmDevice(cell_qubits=cells, timing=timing,
-                                         store_policy=self.config.store_policy)
+            self.mem = _raqm(cells, [], self.config)
 
-        for decl in qram_decls:
-            device = qram.QramDevice(addr_len=decl.addr_len, word_len=decl.word_len)
+        for name, device, blocks in qrams:
             layout = None
-            if self.config.backend == "circuit":
-                if decl.addr_len > qram.MAX_CIRCUIT_ADDR_BITS:
-                    raise ResourceError(
-                        f"qram {decl.name!r}: circuit backend supports at most "
-                        f"{qram.MAX_CIRCUIT_ADDR_BITS} address bits, got {decl.addr_len}")
-                blocks = {}
-                for kind, count in (("memory", device.num_cells),
-                                    ("routers", device.num_addresses - 1),
-                                    ("channels", decl.addr_len)):
-                    blocks[kind] = tuple(range(cursor, cursor + count))
-                    labels += [f"{decl.name}.{kind}[{i}]" for i in range(count)]
+            if blocks:
+                spans = {}
+                for kind, count in blocks:
+                    spans[kind] = tuple(range(cursor, cursor + count))
+                    labels += [f"{name}.{kind}[{i}]" for i in range(count)]
                     cursor += count
-                layout = qram.CircuitLayout(addr=(), bus=(), **blocks)
-                device.memory_qubits = blocks["memory"]
-            self.qrams[decl.name] = _QramBinding(device, layout)
-
-        if cursor == 0:
-            raise ArgumentError("program declares no qubits")
-        if cursor > sv.DEFAULT_MAX_QUBITS:
-            raise ResourceError(
-                f"program needs {cursor} qubits; budget is {sv.DEFAULT_MAX_QUBITS}")
+                layout = qram.CircuitLayout(addr=(), bus=(), **spans)
+                device.memory_qubits = spans["memory"]
+            self.qrams[name] = _QramBinding(device, layout)
         self.state = sv.zero_state(cursor, labels)
 
     # -- execution ----------------------------------------------------------
 
-    def fork(self) -> "_Interpreter":
-        """A copy of this shot so far that shares no mutable object with it."""
-        other = copy.copy(self)
+    def _copy(self) -> "_Interpreter":
+        """A copy of this shot that owns what result() changes or hands out
+        and shares everything else with it."""
+        other = object.__new__(_Interpreter)
+        other.__dict__.update(self.__dict__)
         other.state = self.state.copy()
         other.trace = list(self.trace)
         other.timeline = list(self.timeline)
         other.measurements = [dict(m) for m in self.measurements]
-        other.draws = list(self.draws)
         other.warnings = list(self.warnings)
+        other.cell_busy_since = dict(self.cell_busy_since)
+        other.cell_busy_total = dict(self.cell_busy_total)
+        return other
+
+    def fork(self, config=None) -> "_Interpreter":
+        """A copy of this shot so far, run under `config` (by default this
+        shot's). It shares only what no shot changes with this one: the
+        program, the config, the qubit registers and the QRAM layouts."""
+        other = self._copy()
+        other.config = config = config or self.config
+        other.draws = list(self.draws)
         other.ints = dict(self.ints)
         other.bits = {name: list(reg) for name, reg in self.bits.items()}
         other.gate_defs = dict(self.gate_defs)
-        other.cell_busy_since = dict(self.cell_busy_since)
-        other.cell_busy_total = dict(self.cell_busy_total)
         if self.mem is not None:
-            other.mem = copy.copy(self.mem)
-            other.mem.cell_status = list(self.mem.cell_status)
+            other.mem = _raqm(self.mem.cell_qubits, list(self.mem.cell_status), config)
         other.qrams = {}
         for name, binding in self.qrams.items():
-            device = copy.copy(binding.device)
-            if device.classical_data is not None:
-                device.classical_data = list(device.classical_data)
-            other.qrams[name] = _QramBinding(device, binding.layout)
+            device = binding.device
+            data = device.classical_data
+            other.qrams[name] = _QramBinding(qram.QramDevice(
+                device.addr_len, device.word_len, None if data is None else list(data),
+                device.memory_qubits), binding.layout)
         return other
 
     def finish(self, seed, stmts, paths=None) -> RunResult:
@@ -378,7 +439,7 @@ class _Interpreter:
     def replay(self, seed) -> RunResult:
         """The result of the shot with this seed, given that its draws follow
         the outcome path of this finished shot; this shot is left as it is."""
-        shot = self.fork()
+        shot = self._copy()
         shot.seed = seed
         return shot.result()
 
@@ -404,8 +465,7 @@ class _Interpreter:
             final = final.to_dense()
         dump_args = None
         if self.mem:
-            cells = copy.copy(self.mem)
-            cells.cell_status = list(self.mem.cell_status)
+            cells = _raqm(self.mem.cell_qubits, list(self.mem.cell_status), self.config)
             dump_args = (cells, final)
         shot_entry = {
             "shot": self.seed,
@@ -443,7 +503,7 @@ class _Interpreter:
         if isinstance(stmt, (n.QubitDecl, n.MemDecl, n.QramDecl)):
             return  # handled at layout time
         if isinstance(stmt, n.BitDecl):
-            init = stmt.init or []
+            init = stmt.init or ()
             self.bits[stmt.name] = [int(b) for b in init] + [0] * (stmt.size - len(init))
             return
         if isinstance(stmt, n.IntDecl):
@@ -468,6 +528,7 @@ class _Interpreter:
             start = self._int(stmt.start)
             end = self._int(stmt.end)
             for value in range(start, end + 1):  # inclusive range
+                self._step(stmt)
                 self.ints[stmt.var] = value
                 self._exec_block(stmt.body)
             return

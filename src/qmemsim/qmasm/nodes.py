@@ -1,4 +1,9 @@
-"""AST node types for the extended-QASM subset."""
+"""AST node types for the extended-QASM subset.
+
+The AST is immutable: every node is a frozen dataclass and every sequence in
+it a tuple, so a parsed program can be run again without being checked again
+(interpreter.iter_shots keeps what it needs on the Program).
+"""
 
 from __future__ import annotations
 
@@ -69,91 +74,91 @@ class QArg:
 
 # --- statements --------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class QubitDecl:
     name: str
     size: int
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class BitDecl:
     name: str
     size: int
-    init: list | None = None
+    init: tuple | None = None
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntDecl:
     name: str
     init: object | None = None
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class AngleDecl:
     name: str
     expr: object = None
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateDef:
     name: str
-    params: list
-    args: list
-    body: list
+    params: tuple
+    args: tuple
+    body: tuple
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateCall:
     name: str
-    params: list           # expressions
-    args: list             # QArgs
+    params: tuple          # expressions
+    args: tuple            # QArgs
     nctrl: int = 0         # number of `ctrl @` modifiers
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Measure:
     qarg: QArg
     carg: QArg
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResetStmt:
     qarg: QArg
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class If:
     cond: object
-    then: list
-    orelse: list = field(default_factory=list)
+    then: tuple
+    orelse: tuple = ()
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class For:
     var: str
     start: object
     end: object
-    body: list = field(default_factory=list)
+    body: tuple = ()
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class While:
     cond: object
-    body: list = field(default_factory=list)
+    body: tuple = ()
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Assign:
     name: str
     expr: object = None
@@ -162,33 +167,33 @@ class Assign:
 
 # --- memory and QRAM primitives ---------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MemDecl:
     size: int
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Load:
     qarg: QArg
     addr: object
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Store:
     addr: object
     qarg: QArg = None
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class MResetStmt:
     addr: object | None = None
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class QramDecl:
     name: str
     addr_len: int = 1
@@ -196,14 +201,14 @@ class QramDecl:
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class QInit:
     name: str
-    source: object = None  # Name or list[int] literal
+    source: object = None  # Name or tuple[int, ...] literal
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class QLoad:
     name: str
     bus: QArg = None
@@ -212,10 +217,13 @@ class QLoad:
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
-    body: list
-    warnings: list = field(default_factory=list)
+    body: tuple
+    warnings: tuple = ()
+    # what running the program needs and does not depend on a shot's seed,
+    # kept by interpreter.iter_shots (see there)
+    _compiled: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def walk(stmts):

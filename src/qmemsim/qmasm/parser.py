@@ -162,7 +162,7 @@ class Parser:
                 f"expected {what or kind}, found {tok.text!r}", tok.line, tok.col)
         return self.next()
 
-    def comma_list(self, close, item) -> list:
+    def comma_list(self, close, item) -> tuple:
         """`item()` results separated by commas up to the `close` token; the
         opening token has been consumed. A trailing comma is accepted."""
         values = []
@@ -171,7 +171,7 @@ class Parser:
             if not self.accept(","):
                 self.expect(close)
                 break
-        return values
+        return tuple(values)
 
     def enclosed(self, opening, closing):
         """An expression between the `opening` and `closing` tokens."""
@@ -203,9 +203,9 @@ class Parser:
         body = []
         while self.peek().kind != "EOF":
             body.append(self.statement())
-        return n.Program(body, self.warnings)
+        return n.Program(tuple(body), tuple(self.warnings))
 
-    def block_or_single(self) -> list:
+    def block_or_single(self) -> tuple:
         if self.accept("{"):
             stmts = []
             while not self.accept("}"):
@@ -213,8 +213,8 @@ class Parser:
                     raise ParseError("unterminated block", self.peek().line,
                                      self.peek().col)
                 stmts.append(self.statement())
-            return stmts
-        return [self.statement()]
+            return tuple(stmts)
+        return (self.statement(),)
 
     # -- statements -------------------------------------------------------
 
@@ -296,21 +296,20 @@ class Parser:
                 raise ParseError("only bit registers take initializers",
                                  pos.line, pos.col)
             init = self.bit_array_literal()
-            if len(init) < size:
+            if len(init) < size:  # the interpreter pads it when it runs
                 self.warnings.append(
                     f"line {pos.line}: {len(init)}-element literal assigned to "
                     f"bit[{size}] {name}; zero-padded on the right")
-                init = init + [0] * (size - len(init))
         self.expect(";")
         if what == "qubit":
             return n.QubitDecl(name, size, pos=pos)
         return n.BitDecl(name, size, init, pos=pos)
 
-    def bit_array_literal(self) -> list:
+    def bit_array_literal(self) -> tuple:
         self.expect("[", "bit-array literal")
         return self.bit_values()
 
-    def bit_values(self) -> list:
+    def bit_values(self) -> tuple:
         return self.comma_list("]", lambda: int(self.expect("INT", "bit literal").text))
 
     def int_decl(self):
@@ -336,7 +335,7 @@ class Parser:
         pos = self.here()
         self.next()
         name = self.expect("ID", "gate name").text
-        params = []
+        params = ()
         if self.accept("("):
             params = self.comma_list(")", lambda: self.expect("ID", "parameter name").text)
         args = [self.expect("ID", "gate argument").text]
@@ -352,7 +351,7 @@ class Parser:
                 body.append(self.gate_call())
             else:
                 self.fail_unsupported(tok)
-        return n.GateDef(name, params, args, body, pos=pos)
+        return n.GateDef(name, params, tuple(args), tuple(body), pos=pos)
 
     def gate_call(self):
         pos = self.here()
@@ -361,7 +360,7 @@ class Parser:
             self.expect("@")
             nctrl += 1
         name = self.expect("ID", "gate name").text
-        params = self.comma_list(")", self.expression) if self.accept("(") else []
+        params = self.comma_list(")", self.expression) if self.accept("(") else ()
         args = [self.qarg()]
         # gate arguments may be comma- or space-separated
         while True:
@@ -372,7 +371,7 @@ class Parser:
             else:
                 break
         self.expect(";")
-        return n.GateCall(name, params, args, nctrl=nctrl, pos=pos)
+        return n.GateCall(name, params, tuple(args), nctrl=nctrl, pos=pos)
 
     def measure_stmt(self):
         pos = self.here()
@@ -388,7 +387,7 @@ class Parser:
         self.next()
         cond = self.enclosed("(", ")")
         then = self.block_or_single()
-        orelse = []
+        orelse = ()
         if self.accept("else"):
             orelse = self.block_or_single()
         return n.If(cond, then, orelse, pos=pos)

@@ -8,6 +8,10 @@ from . import nodes as n
 
 BUILTIN_GATES = {"h": 1, "x": 1, "cx": 2, "U": 1}
 
+# The largest bit register a program may declare; a shot holds each register
+# as a list, so an unbounded size would exhaust memory before the shot ran.
+MAX_BIT_REGISTER = 1 << 20
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -31,7 +35,6 @@ class _Scope:
         self.mem_size = None
         self.mem_seen = False
         self.mem_used_before_decl = False
-        self.bit_inits = {}
 
 
 def validate(program: n.Program) -> list[Diagnostic]:
@@ -84,11 +87,12 @@ def _check_stmt(stmt, scope, out, loop_vars):
         if stmt.name in scope.qubits or stmt.name in scope.bits:
             _err(out, stmt.pos, f"register {stmt.name!r} already declared")
         scope.bits[stmt.name] = stmt.size
-        if stmt.init is not None:
-            if len(stmt.init) > stmt.size:
-                _err(out, stmt.pos,
-                     f"{len(stmt.init)}-element literal exceeds bit[{stmt.size}]")
-            scope.bit_inits[stmt.name] = stmt.init
+        if stmt.size > MAX_BIT_REGISTER:
+            _err(out, stmt.pos, f"bit[{stmt.size}] {stmt.name} exceeds the "
+                                f"{MAX_BIT_REGISTER}-bit register limit")
+        if stmt.init is not None and len(stmt.init) > stmt.size:
+            _err(out, stmt.pos,
+                 f"{len(stmt.init)}-element literal exceeds bit[{stmt.size}]")
     elif isinstance(stmt, n.IntDecl):
         scope.ints.add(stmt.name)
         if stmt.init is not None:

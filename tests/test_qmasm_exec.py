@@ -1,7 +1,10 @@
+import gc
 import itertools
 import math
 import random
+import signal
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -207,9 +210,56 @@ class TestErrorsAndConfig:
         res = run(src, max_steps=1000)
         assert res.status == "error" and "budget" in res.error
 
+    def test_for_takes_one_step_per_iteration(self):
+        # the declaration, the loop and each of its three iterations
+        src = HEADER + "qubit[1] q;\nfor k in [1:3] { }\n"
+        assert run(src, max_steps=5).status == "ok"
+        assert run(src, max_steps=4).error == (
+            "ShotError: instruction budget of 4 exceeded "
+            "(possible runaway loop at line 3, col 1)")
+
+    @pytest.mark.parametrize("before", ["", "bit[1] c;\nh q;\nmeasure q -> c[0];\n"],
+                             ids=["prefix", "after-measure"])
+    def test_empty_for_loop_ends_at_the_step_budget(self, before):
+        src = HEADER + "qubit[1] q;\n" + before + "for k in [1:10**12] { }\n"
+
+        def unbounded(signum, frame):
+            raise TimeoutError("the loop ran on past its step budget")
+
+        # the loop would run for about a day without its budget; fail instead
+        previous = signal.signal(signal.SIGALRM, unbounded)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            results = qmasm.run_shots(qmasm.parse_program(src), 0, 3)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        line = src.count("\n")
+        assert [r.error for r in results] == [
+            "ShotError: instruction budget of 1000000 exceeded "
+            f"(possible runaway loop at line {line}, col 1)"] * 3
+
     def test_qubit_budget(self):
         with pytest.raises(ResourceError):
             run(HEADER + "qubit[20] a;\nqubit[8] b;\n")
+
+    @pytest.mark.parametrize("src, error, message", [
+        ("qubit[1000000] q;", ResourceError, "program needs 1000000 qubits; budget is 24"),
+        ("qubit[1] q;\nmem 1000000;", ResourceError,
+         "program needs 1000001 qubits; budget is 24"),
+        ("qubit[1] q;\nbit[1048577] c;", ValidationFailure, "1048576-bit register limit"),
+        ("qubit[1] q;\nbit[1048577] c = [1];", ValidationFailure,
+         "1048576-bit register limit"),
+    ])
+    def test_oversized_declarations_fail_before_allocating(self, src, error, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=message):
+                run(HEADER + src + "\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_timing_profile_produces_timeline(self):
         timing = qmasm.TimingProfile(
@@ -584,7 +634,9 @@ class TestSupportRepresentation:
     """A program gives the same results, final-state bytes included, whether
     the interpreter holds its state dense or as a statevec.SupportState."""
 
-    def run_both(self, monkeypatch, program, seed, shots, config):
+    def run_both(self, monkeypatch, src, seed, shots, config):
+        """Each state form runs a program parsed for it: a Program keeps its
+        prefix between calls, in the form it was first built in."""
         made = []
 
         def support_state(num_qubits, labels=None):
@@ -596,6 +648,7 @@ class TestSupportRepresentation:
         results = []
         for make in (dense_state, support_state):
             monkeypatch.setattr(sv, "zero_state", make)
+            program = qmasm.parse_program(src)
             results.append(outcome(lambda: [
                 shot_fields(r) for r in qmasm.run_shots(program, seed, shots, config)]))
         return made, results
@@ -604,8 +657,7 @@ class TestSupportRepresentation:
                              ids=[c[0] for c in FORK_CASES]
                              + ["golden-" + c[0] for c in golden_cases()])
     def test_same_shots_on_both_representations(self, name, src, config, monkeypatch):
-        made, (dense, support) = self.run_both(
-            monkeypatch, qmasm.parse_program(src), 40, 4, config)
+        made, (dense, support) = self.run_both(monkeypatch, src, 40, 4, config)
         assert dense == support
         assert made or isinstance(dense, str)  # no layout: rejected before a state
 
@@ -689,6 +741,118 @@ class TestLazyMemoryDump:
             want = memdev.memory_dump(memdev.RaqmDevice(device.cell_qubits, status),
                                       r.final_state)
             assert r.memory_dump == want
+
+
+class TestCompiledProgram:
+    """A Program keeps its validation outcome, its RNG-free split and its
+    prefix between calls; each call must still give a fresh program's shots."""
+
+    DECAY = qmasm.TimingProfile(
+        gate_time=1e-6, raqm=memdev.RaqmTiming(0.0, 1e-6, t_storage=10e-6))
+
+    @pytest.mark.parametrize("name", ["qld_reset", *EXAMPLE_POST_SELECT])
+    def test_reused_program_equals_fresh_programs(self, name):
+        src, bit = QLD_RESET, ("c", 0)
+        if name != "qld_reset":
+            src, bit = assets.example_path(name + ".qmasm").read_text(), EXAMPLE_POST_SELECT[name]
+        reused = qmasm.parse_program(src)
+        for config in [qmasm.RunConfig(), qmasm.RunConfig(backend="circuit"),
+                       qmasm.RunConfig(timing=self.DECAY),
+                       qmasm.RunConfig(post_select={bit: 1}),
+                       qmasm.RunConfig(backend="circuit", timing=self.DECAY),
+                       qmasm.RunConfig()]:
+            got = outcome(lambda: [shot_fields(r) for r in qmasm.run_shots(reused, 11, 6, config)])
+            want = outcome(lambda: [shot_fields(r) for r in qmasm.run_shots(
+                qmasm.parse_program(src), 11, 6, config)])
+            assert got == want
+
+    def test_shots_run_under_the_callers_config(self):
+        """A kept prefix is reused for an equal config even after the config
+        it was built under changed in place; its shots use the caller's."""
+        def decay():
+            return qmasm.RunConfig(timing=qmasm.TimingProfile(
+                gate_time=1e-6, raqm=memdev.RaqmTiming(0.0, 1e-6, t_storage=10e-6)))
+
+        reused = qmasm.parse_program(QLD_RESET)
+        first = decay()
+        qmasm.run_shots(reused, 3, 4, first)
+        first.timing.gate_time = 2e-6
+        first.timing.raqm.t_storage = 1e-6
+        got = qmasm.run_shots(reused, 3, 4, decay())
+        want = qmasm.run_shots(qmasm.parse_program(QLD_RESET), 3, 4, decay())
+        assert [shot_fields(r) for r in got] == [shot_fields(r) for r in want]
+
+    def test_equal_configs_of_other_types_build_their_own_prefix(self):
+        """gate_time=1 == 1.0, but the prefix's timeline holds the value the
+        config gave it, so a prefix built under one is not reused under the
+        other."""
+        def timed(gate_time):
+            return qmasm.RunConfig(timing=qmasm.TimingProfile(gate_time=gate_time))
+
+        reused = qmasm.parse_program(QLD_RESET)
+        for gate_time in (1.0, 1, -0.0, 0.0):
+            got = qmasm.run_shots(reused, 5, 3, timed(gate_time))
+            want = qmasm.run_shots(qmasm.parse_program(QLD_RESET), 5, 3, timed(gate_time))
+            assert repr([shot_fields(r) for r in got]) == repr([shot_fields(r) for r in want])
+
+    def test_work_is_kept_per_program_and_config(self, monkeypatch):
+        validated, built = [], []
+        validate, init = interpreter.validate, interpreter._Interpreter.__init__
+
+        def counted_validate(program):
+            validated.append(program)
+            return validate(program)
+
+        def counted_init(self, program, config):
+            built.append(config)
+            init(self, program, config)
+
+        monkeypatch.setattr(interpreter, "validate", counted_validate)
+        monkeypatch.setattr(interpreter._Interpreter, "__init__", counted_init)
+        program = qmasm.parse_program(QLD_RESET)
+        config = qmasm.RunConfig(max_steps=1000)
+        for _ in range(3):  # an equal config object reuses the prefix
+            assert {r.status for r in qmasm.run_shots(program, 0, 4, config)} == {"ok"}
+            config = qmasm.RunConfig(max_steps=1000)
+        assert len(validated) == 1 and len(built) == 1
+        # a config changed in place is a new config: the 13-statement prefix
+        # now exceeds the step budget
+        config.max_steps = 12
+        results = qmasm.run_shots(program, 0, 4, config)
+        assert len(built) == 2
+        assert {r.error for r in results} == {
+            "ShotError: instruction budget of 12 exceeded "
+            "(possible runaway loop at line 14, col 1)"}
+
+    def test_validation_failure_raises_on_every_call(self):
+        program = qmasm.parse_program(HEADER + "qubit[2] q;\nst [0] = q;\n")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValidationFailure) as info:
+                qmasm.execute(program, 0)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] and "ld/st before mem" in messages[0]
+
+    def test_a_prefix_over_the_budget_is_freed_with_the_call(self, monkeypatch):
+        made = []
+        init = interpreter._Interpreter.__init__
+
+        def recording(self, program, config):
+            init(self, program, config)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(interpreter._Interpreter, "__init__", recording)
+        src = HEADER + "qubit[{}] q;\nbit[1] c;\nh q;\nmeasure q[0] -> c[0];\n"
+        # 18 qubits after `h q`: a dense 4 MiB state, over _LEAF_BUDGET
+        large = qmasm.parse_program(src.format(18))
+        results = qmasm.run_shots(large, 0, 3)
+        gc.collect()
+        assert [r.status for r in results] == ["ok"] * 3
+        assert len(made) == 1 and made[0]() is None
+        small = qmasm.parse_program(src.format(2))
+        qmasm.run_shots(small, 0, 3)
+        gc.collect()
+        assert len(made) == 2 and made[1]() is small._compiled.prefix
 
 
 class TestNonFiniteNumbers:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from qmemsim import assets
@@ -43,7 +45,7 @@ cr(2) q[0], q[1];
 """)
         gd = prog.body[0]
         assert isinstance(gd, n.GateDef)
-        assert gd.params == ["n"] and gd.args == ["c", "t"]
+        assert gd.params == ("n",) and gd.args == ("c", "t")
         call = gd.body[1]
         assert call.nctrl == 1 and call.name == "U"
 
@@ -102,8 +104,35 @@ for i in [0:2] {
         src = HEADER + "bit[2] v = [1,0,1];\n"
         assert any("exceeds" in str(d) for d in errors_of(src))
 
+    def test_parsed_program_is_immutable(self):
+        prog = parse_program(assets.example_path("qft_amplitude.qmasm").read_text())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prog.body = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prog.body[0].name = "other"
+        gate = next(s for s in n.walk(prog.body) if isinstance(s, n.GateDef))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gate.body[0].params = ()
+
+        def lists_in(value):
+            if isinstance(value, list):
+                yield value
+            elif isinstance(value, tuple):
+                for item in value:
+                    yield from lists_in(item)
+            elif dataclasses.is_dataclass(value):
+                for f in dataclasses.fields(value):
+                    yield from lists_in(getattr(value, f.name))
+
+        assert list(lists_in(prog)) == []
+
 
 class TestValidator:
+    def test_bit_register_limit(self):
+        assert errors_of(HEADER + "bit[1048576] c;\n") == []
+        errs = errors_of(HEADER + "bit[1048577] c;\n")
+        assert [e.message for e in errs] == ["bit[1048577] c exceeds the 1048576-bit register limit"]
+
     def test_store_without_mem(self):
         errs = errors_of(HEADER + "qubit[2] q;\nst [0] = q;\n")
         assert any("mem" in str(e) for e in errs)
