@@ -18,10 +18,10 @@ import numpy as np
 
 from .. import memdev, qram
 from .. import statevec as sv
-from ..errors import (AddressError, ArgumentError, PostSelectionError,
-                      QmemError, ResourceError, ShotError, ValidationFailure)
+from ..errors import (ArgumentError, QmemError, ResourceError, ShotError,
+                      ValidationFailure)
 from . import nodes as n
-from .validator import validate
+from .validator import BUILTIN_GATES, validate
 
 
 @dataclass
@@ -38,6 +38,11 @@ class TimingProfile:
     raqm: memdev.RaqmTiming | None = None
     raqm_fidelity: float = 1.0
     qram_stage_time: float = 40e-9
+
+
+# What an untimed run reads for every duration and fidelity; its _tick records
+# nothing.
+_UNTIMED = TimingProfile(gate_time=0.0, measure_time=0.0, qram_stage_time=0.0)
 
 
 @dataclass
@@ -293,14 +298,6 @@ def replay_trace(trace, num_qubits: int) -> sv.StateVector:
     return state
 
 
-def _raqm(cells, status, config) -> memdev.RaqmDevice:
-    """A RAQM device on these cell qubits with these cell statuses (all reset
-    if empty), timed and with the store policy as `config` says."""
-    return memdev.RaqmDevice(cell_qubits=cells, cell_status=status,
-                             timing=config.timing.raqm if config.timing else None,
-                             store_policy=config.store_policy)
-
-
 class _QramBinding:
     def __init__(self, device, layout=None):
         self.device = device
@@ -311,6 +308,7 @@ class _Interpreter:
     def __init__(self, program, config):
         self.program = program
         self.config = config
+        self.timing = config.timing or _UNTIMED
         # The RNG-free prefix runs without an RNG; `finish` seeds each shot's.
         self.seed = self.rng = None
         self.error = None   # the shot error that stopped the shot, if any
@@ -374,7 +372,7 @@ class _Interpreter:
             cells = tuple(range(cursor, cursor + mem_size))
             labels += [f"mem[{i}]" for i in range(mem_size)]
             cursor += mem_size
-            self.mem = _raqm(cells, [], self.config)
+            self.mem = self._raqm(cells, [])
 
         for name, device, blocks in qrams:
             layout = None
@@ -388,6 +386,13 @@ class _Interpreter:
                 device.memory_qubits = spans["memory"]
             self.qrams[name] = _QramBinding(device, layout)
         self.state = sv.zero_state(cursor, labels)
+
+    def _raqm(self, cells, status) -> memdev.RaqmDevice:
+        """A RAQM device on these cell qubits with these cell statuses (all
+        reset if empty), timed and with the store policy as this shot's."""
+        return memdev.RaqmDevice(cell_qubits=cells, cell_status=status,
+                                 timing=self.timing.raqm,
+                                 store_policy=self.config.store_policy)
 
     # -- execution ----------------------------------------------------------
 
@@ -411,12 +416,13 @@ class _Interpreter:
         program, the config, the qubit registers and the QRAM layouts."""
         other = self._copy()
         other.config = config = config or self.config
+        other.timing = config.timing or _UNTIMED
         other.draws = list(self.draws)
         other.ints = dict(self.ints)
         other.bits = {name: list(reg) for name, reg in self.bits.items()}
         other.gate_defs = dict(self.gate_defs)
         if self.mem is not None:
-            other.mem = _raqm(self.mem.cell_qubits, list(self.mem.cell_status), config)
+            other.mem = other._raqm(self.mem.cell_qubits, list(self.mem.cell_status))
         other.qrams = {}
         for name, binding in self.qrams.items():
             device = binding.device
@@ -449,13 +455,12 @@ class _Interpreter:
             return
         try:
             self._exec_block(stmts)
-        except (ShotError, AddressError, PostSelectionError, QmemError) as exc:
+        except QmemError as exc:
             self.error = f"{type(exc).__name__}: {exc}"
 
     def result(self) -> RunResult:
         status = "ok" if self.error is None else "error"
-        if self.config.timing and self.mem and self.mem.timing \
-                and self.mem.timing.t_storage:
+        if self.mem and self.mem.timing and self.mem.timing.t_storage:
             for cell in list(self.cell_busy_since):  # released cells are popped
                 self._cell_release(cell)
             for cell, total in self.cell_busy_total.items():
@@ -465,7 +470,7 @@ class _Interpreter:
             final = final.to_dense()
         dump_args = None
         if self.mem:
-            cells = _raqm(self.mem.cell_qubits, list(self.mem.cell_status), self.config)
+            cells = self._raqm(self.mem.cell_qubits, list(self.mem.cell_status))
             dump_args = (cells, final)
         shot_entry = {
             "shot": self.seed,
@@ -533,7 +538,10 @@ class _Interpreter:
                 self._exec_block(stmt.body)
             return
         if isinstance(stmt, n.GateCall):
-            self._gate_call(stmt)
+            gates = []
+            self._gates(stmt, gates)
+            for g in gates:
+                self._emit(g)
             return
         if isinstance(stmt, n.Measure):
             self._measure(stmt)
@@ -541,7 +549,7 @@ class _Interpreter:
         if isinstance(stmt, n.ResetStmt):
             for q in self._resolve_qubits(stmt.qarg):
                 self._reset(q)
-                self._tick("reset", self._gate_time())
+                self._tick("reset", self.timing.gate_time)
             return
         if isinstance(stmt, (n.Load, n.Store)):
             self._load_store(stmt.qarg, stmt.addr, store=isinstance(stmt, n.Store))
@@ -554,8 +562,6 @@ class _Interpreter:
             return
         if isinstance(stmt, n.QLoad):
             self._qload(stmt)
-            return
-        raise ShotError(f"unhandled statement {type(stmt).__name__} at {stmt.pos}")
 
     # -- classical expressions ---------------------------------------------
 
@@ -636,9 +642,6 @@ class _Interpreter:
         self.state = sv.held(sv.apply_gate(self.state, g))
         self.trace.append(("gate", g))
 
-    def _gate_time(self):
-        return self.config.timing.gate_time if self.config.timing else 0.0
-
     def _tick(self, label, duration, fidelity=1.0):
         if self.config.timing is None:
             return
@@ -646,9 +649,15 @@ class _Interpreter:
         self.clock += duration
         self.fidelity *= fidelity
 
-    def _gate_call(self, stmt: n.GateCall, extra_controls=(), env=None, mapping=None):
-        """Apply a gate call, broadcast over register arguments. Inside a gate
-        body, `mapping` binds the gate's argument names to qubits."""
+    def _emit(self, g: sv.GateSpec):
+        self._apply(g)
+        self._tick(f"gate:{g.kind}", self.timing.gate_time, self.timing.gate_fidelity)
+
+    def _gates(self, stmt: n.GateCall, out, extra_controls=(), env=None, mapping=None):
+        """Append the GateSpecs of a gate call to `out`, broadcast over register
+        arguments and with user gates expanded, each checked as apply_gate
+        checks it, so a call that fails leaves the state untouched. Inside a
+        gate body, `mapping` binds the gate's argument names to qubits."""
         params = [self._eval(p, env) for p in stmt.params]
         if mapping is None:
             arg_qubits = [self._resolve_qubits(a) for a in stmt.args]
@@ -658,42 +667,33 @@ class _Interpreter:
         for a in arg_qubits:
             if len(a) not in (1, width):
                 raise ShotError(f"broadcast width mismatch at {stmt.pos}")
+        kind = _BUILTIN_KINDS.get(stmt.name)
+        gd = self.gate_defs.get(stmt.name)
+        if kind is None and gd is None:
+            raise ShotError(f"unknown gate {stmt.name!r} at {stmt.pos}")
+        angles = _angles(params, stmt.pos) if kind == "u" else ()
         for i in range(width):
             chosen = [a[i] if len(a) > 1 else a[0] for a in arg_qubits]
             controls = tuple(extra_controls) + tuple(chosen[:stmt.nctrl])
-            self._apply_named(stmt.name, params, chosen[stmt.nctrl:], controls, stmt.pos)
-
-    def _apply_named(self, name, params, targets, controls, pos):
-        if name == "h":
-            self._emit(sv.gate("h", targets, controls=controls))
-        elif name == "x":
-            self._emit(sv.gate("x", targets, controls=controls))
-        elif name == "cx":
-            self._emit(sv.gate("cnot", targets, controls=controls))
-        elif name == "U":
-            self._emit(sv.gate("u", targets, _angles(params, pos), controls=controls))
-        elif name in self.gate_defs:
-            self._expand_user_gate(self.gate_defs[name], params, targets, controls)
-        else:
-            raise ShotError(f"unknown gate {name!r} at {pos}")
-
-    def _emit(self, g: sv.GateSpec):
-        self._apply(g)
-        fid = self.config.timing.gate_fidelity if self.config.timing else 1.0
-        self._tick(f"gate:{g.kind}", self._gate_time(), fid)
-
-    def _expand_user_gate(self, gd: n.GateDef, params, targets, controls):
-        if len(params) != len(gd.params) or len(targets) != len(gd.args):
-            raise ShotError(f"gate {gd.name!r} called with wrong arity")
-        env = dict(zip(gd.params, params))
-        mapping = dict(zip(gd.args, targets))
-        for stmt in gd.body:
-            if isinstance(stmt, n.AngleDecl):
-                env[stmt.name] = self._eval(stmt.expr, env)
-            elif isinstance(stmt, n.GateCall):
-                self._gate_call(stmt, controls, env, mapping)
-            else:
-                raise ShotError(f"bad statement in gate body of {gd.name!r}")
+            targets = chosen[stmt.nctrl:]
+            if kind is None:
+                if len(params) != len(gd.params) or len(targets) != len(gd.args):
+                    raise ShotError(f"gate {gd.name!r} called with wrong arity")
+                local = dict(zip(gd.params, params))
+                bound = dict(zip(gd.args, targets))
+                for body_stmt in gd.body:
+                    if isinstance(body_stmt, n.AngleDecl):
+                        local[body_stmt.name] = self._eval(body_stmt.expr, local)
+                    elif isinstance(body_stmt, n.GateCall):
+                        self._gates(body_stmt, out, controls, local, bound)
+                    else:
+                        raise ShotError(f"bad statement in gate body of {gd.name!r}")
+                continue
+            g = sv.gate(kind, targets, angles, controls)
+            sv._plan(self.state.num_qubits, g.targets, g.controls, g.control_values)
+            if len(targets) != BUILTIN_GATES[stmt.name]:
+                sv._checked(self.state.num_qubits, g)  # raises the width error
+            out.append(g)
 
     # -- measurement -----------------------------------------------------------
 
@@ -718,8 +718,7 @@ class _Interpreter:
                 {"bit": f"{reg}[{idx}]", "outcome": outcome, "probability": prob,
                  "forced": forced is not None})
             self.trace.append(("measure", q, outcome, prob, forced is not None))
-            self._tick(f"measure:{reg}[{idx}]",
-                       self.config.timing.measure_time if self.config.timing else 0.0)
+            self._tick(f"measure:{reg}[{idx}]", self.timing.measure_time)
 
     def _reset(self, q):
         """Measure-and-reset one qubit to |0>, recorded as a measurement and,
@@ -734,26 +733,22 @@ class _Interpreter:
     # -- memory primitives -------------------------------------------------------
 
     def _raqm_duration(self):
-        if self.config.timing and self.config.timing.raqm:
-            return self.config.timing.raqm.t_rw
-        return self._gate_time()
+        return self.timing.raqm.t_rw if self.timing.raqm else self.timing.gate_time
 
     def _cell_occupy(self, addr):
         if self.config.timing:
             self.cell_busy_since[addr] = self.clock
 
     def _cell_release(self, addr):
-        if self.config.timing and addr in self.cell_busy_since:
+        if addr in self.cell_busy_since:  # only a timed run records occupancy
             start = self.cell_busy_since.pop(addr)
             self.cell_busy_total[addr] = self.cell_busy_total.get(addr, 0.0) \
                 + (self.clock - start)
 
     def _load_store(self, qarg, addr_expr, store):
-        if self.mem is None:
-            raise ShotError("ld/st without a mem declaration")
         qubits = self._resolve_qubits(qarg)
         base = self._int(addr_expr)
-        fid = self.config.timing.raqm_fidelity if self.config.timing else 1.0
+        fid = self.timing.raqm_fidelity
         for i, q in enumerate(qubits):
             addr = base + i  # raqm_store/raqm_load check it
             if store:
@@ -769,8 +764,6 @@ class _Interpreter:
                 self._cell_occupy(addr)  # occupancy starts once the store completes
 
     def _mreset(self, stmt):
-        if self.mem is None:
-            raise ShotError("mreset without a mem declaration")
         addr = None if stmt.addr is None else self._int(stmt.addr)
         for a in memdev.reset_addresses(self.mem, addr):
             self._reset(self.mem.cell_qubits[a])
@@ -781,9 +774,7 @@ class _Interpreter:
     # -- QRAM primitives ---------------------------------------------------------
 
     def _qinit(self, stmt):
-        binding = self.qrams.get(stmt.name)
-        if binding is None:
-            raise ShotError(f"undeclared qram {stmt.name!r}")
+        binding = self.qrams[stmt.name]
         if isinstance(stmt.source, n.Name):
             data = self.bits.get(stmt.source.id)
             if data is None:
@@ -796,12 +787,10 @@ class _Interpreter:
         qram.qinit_load(binding.device, data, self.state)
         self.state = sv.held(self.state)
         self.trace.extend(("gate", g) for g in qram.qinit_gates(binding.device))
-        self._tick(f"qinit:{stmt.name}", self._gate_time())
+        self._tick(f"qinit:{stmt.name}", self.timing.gate_time)
 
     def _qload(self, stmt):
-        binding = self.qrams.get(stmt.name)
-        if binding is None:
-            raise ShotError(f"undeclared qram {stmt.name!r}")
+        binding = self.qrams[stmt.name]
         bus = self._resolve_qubits(stmt.bus)
         addr = self._resolve_qubits(stmt.addr)
         device = binding.device
@@ -824,10 +813,11 @@ class _Interpreter:
             sv.apply_basis_permutation(self.state, program)
             self.state = sv.held(self.state)
             self.trace.extend(("gate", g) for g in program)
-        duration = device.addr_len * (self.config.timing.qram_stage_time
-                                      if self.config.timing else 0.0)
-        self._tick(f"qld:{stmt.name}", duration)
+        self._tick(f"qld:{stmt.name}", device.addr_len * self.timing.qram_stage_time)
 
+
+# The kernel gate kind of each built-in gate.
+_BUILTIN_KINDS = {"h": "h", "x": "x", "cx": "cnot", "U": "u"}
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv, "%": operator.mod, "==": operator.eq,
