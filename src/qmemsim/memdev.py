@@ -65,6 +65,15 @@ class RaqmDevice:
                 f"address {addr} out of range for {self.capacity}-cell memory"
             )
 
+    def check_store(self, addr: int):
+        """check_addr, then the store policy: under 'error' the cell must be
+        free."""
+        self.check_addr(addr)
+        if self.cell_status[addr] == OCCUPIED and self.store_policy == "error":
+            raise PolicyError(
+                f"store to occupied cell {addr} (policy 'error'; use 'swap' to allow reuse)"
+            )
+
 
 def qmc_swap(state: sv.StateVector, bus: int, cell: int) -> sv.StateVector:
     """SWAP bus and cell; any entanglement with third parties moves with it."""
@@ -74,11 +83,7 @@ def qmc_swap(state: sv.StateVector, bus: int, cell: int) -> sv.StateVector:
 
 
 def raqm_store(device: RaqmDevice, state: sv.StateVector, addr: int, bus: int) -> sv.StateVector:
-    device.check_addr(addr)
-    if device.cell_status[addr] == OCCUPIED and device.store_policy == "error":
-        raise PolicyError(
-            f"store to occupied cell {addr} (policy 'error'; use 'swap' to allow reuse)"
-        )
+    device.check_store(addr)
     qmc_swap(state, bus, device.cell_qubits[addr])
     device.cell_status[addr] = OCCUPIED
     return state

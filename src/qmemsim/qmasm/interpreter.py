@@ -748,9 +748,11 @@ class _Interpreter:
     def _load_store(self, qarg, addr_expr, store):
         qubits = self._resolve_qubits(qarg)
         base = self._int(addr_expr)
+        check = self.mem.check_store if store else self.mem.check_addr
+        for addr in range(base, base + len(qubits)):  # the whole span, first
+            check(addr)
         fid = self.timing.raqm_fidelity
-        for i, q in enumerate(qubits):
-            addr = base + i  # raqm_store/raqm_load check it
+        for addr, q in enumerate(qubits, base):
             if store:
                 memdev.raqm_store(self.mem, self.state, addr, q)
             else:

@@ -91,18 +91,18 @@ def tokenize(source: str) -> list[Token]:
             i += 2
             col += 2
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < size and source[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < size and source[i + 1].isdecimal()):
             j = i
             seen_dot = seen_exp = False
             while j < size:
                 c = source[j]
-                if c.isdigit():
+                if c.isdecimal():
                     j += 1
                 elif c == "." and not seen_dot and not seen_exp:
                     seen_dot = True
                     j += 1
                 elif c in "eE" and not seen_exp and j + 1 < size and \
-                        (source[j + 1].isdigit() or source[j + 1] in "+-"):
+                        (source[j + 1].isdecimal() or source[j + 1] in "+-"):
                     seen_exp = True
                     j += 2 if source[j + 1] in "+-" else 1
                 else:
@@ -161,6 +161,9 @@ class Parser:
             raise ParseError(
                 f"expected {what or kind}, found {tok.text!r}", tok.line, tok.col)
         return self.next()
+
+    def expect_int(self, what) -> int:
+        return _int_value(self.expect("INT", what))
 
     def comma_list(self, close, item) -> tuple:
         """`item()` results separated by commas up to the `close` token; the
@@ -246,9 +249,9 @@ class Parser:
         if kind == "mem":
             pos = self.here()
             self.next()
-            size = self.expect("INT", "memory size")
+            size = self.expect_int("memory size")
             self.expect(";")
-            return n.MemDecl(int(size.text), pos=pos)
+            return n.MemDecl(size, pos=pos)
         if kind == "ld":
             return self.load_stmt()
         if kind == "st":
@@ -287,7 +290,7 @@ class Parser:
         what = self.next().kind  # qubit | bit
         size = 1
         if self.accept("["):
-            size = int(self.expect("INT", "register size").text)
+            size = self.expect_int("register size")
             self.expect("]")
         name = self.expect("ID", "register name").text
         init = None
@@ -310,7 +313,7 @@ class Parser:
         return self.bit_values()
 
     def bit_values(self) -> tuple:
-        return self.comma_list("]", lambda: int(self.expect("INT", "bit literal").text))
+        return self.comma_list("]", lambda: self.expect_int("bit literal"))
 
     def int_decl(self):
         pos = self.here()
@@ -435,9 +438,9 @@ class Parser:
         self.next()
         name = self.expect("ID", "qram name").text
         self.expect("[")
-        addr_len = int(self.expect("INT", "address length").text)
+        addr_len = self.expect_int("address length")
         self.expect(",")
-        word_len = int(self.expect("INT", "word length").text)
+        word_len = self.expect_int("word length")
         self.expect("]")
         self.expect(";")
         return n.QramDecl(name, addr_len, word_len, pos=pos)
@@ -548,7 +551,7 @@ class Parser:
         tok = self.next()
         pos = n.Pos(tok.line, tok.col)
         if tok.kind == "INT":
-            return n.Num(int(tok.text), pos=pos)
+            return n.Num(_int_value(tok), pos=pos)
         if tok.kind == "FLOAT":
             return n.Num(float(tok.text), pos=pos)
         if tok.kind == "pi":
@@ -565,6 +568,16 @@ class Parser:
             return n.Name(tok.text, pos=pos)
         raise ParseError(f"expected expression, found {tok.text!r}",
                          tok.line, tok.col)
+
+
+def _int_value(tok) -> int:
+    """An INT token's value. Python converts at most sys.get_int_max_str_digits()
+    digits, so a longer literal is a ParseError at the token."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
+                         tok.line, tok.col) from None
 
 
 def parse_program(source: str) -> n.Program:

@@ -93,6 +93,10 @@ def _check_stmt(stmt, scope, out, loop_vars):
         if stmt.init is not None and len(stmt.init) > stmt.size:
             _err(out, stmt.pos,
                  f"{len(stmt.init)}-element literal exceeds bit[{stmt.size}]")
+        for value in stmt.init or ():
+            if value not in (0, 1):
+                _err(out, stmt.pos, f"bit literal element {value} is not 0 or 1")
+                break
     elif isinstance(stmt, n.IntDecl):
         scope.ints.add(stmt.name)
         if stmt.init is not None:
@@ -123,19 +127,18 @@ def _check_stmt(stmt, scope, out, loop_vars):
         if shape is None:
             _err(out, stmt.pos, f"qinit of undeclared qram {stmt.name!r}")
             return
-        expected = (1 << shape[0]) * shape[1]
         if isinstance(stmt.source, n.Name):
             size = scope.bits.get(stmt.source.id)
             if size is None:
                 _err(out, stmt.pos,
                      f"qinit data register {stmt.source.id!r} not declared")
-            elif size != expected:
-                _err(out, stmt.pos,
-                     f"qinit data length {size} != expected {expected}")
+                return
+            what = "data"
         else:
-            if len(stmt.source) != expected:
-                _err(out, stmt.pos,
-                     f"qinit literal length {len(stmt.source)} != expected {expected}")
+            size, what = len(stmt.source), "literal"
+        expected = _qinit_length(*shape, size)
+        if expected is not None:
+            _err(out, stmt.pos, f"qinit {what} length {size} != expected {expected}")
     elif isinstance(stmt, n.QLoad):
         shape = scope.qrams.get(stmt.name)
         if shape is None:
@@ -198,6 +201,30 @@ def _check_stmt(stmt, scope, out, loop_vars):
         _err(out, stmt.pos, "angle declarations are only allowed in gate bodies")
     else:
         _err(out, stmt.pos, f"unhandled statement {type(stmt).__name__}")
+
+
+# A qinit length of more bits than this is never built: a qram's address width
+# is not capped, and 2^addr_len bits need not fit in memory.
+_MAX_LENGTH_BITS = 1 << 16
+
+
+def _qinit_length(addr_len, word_len, size):
+    """None if `size` data bits fill a qram[addr_len, word_len], which takes
+    2^addr_len * word_len bits; else that length as the mismatch message
+    prints it: in decimal, or as `2^addr_len * word_len` where Python does not
+    print it in decimal or it is too long to build."""
+    formula = f"2^{addr_len} * {word_len}"
+    # a nonzero length is at least 2^(bits - 1), so it exceeds `size` here
+    bits = addr_len + word_len.bit_length()
+    if word_len and bits > max(size.bit_length(), _MAX_LENGTH_BITS):
+        return formula
+    length = (1 << addr_len) * word_len if word_len else 0
+    if length == size:
+        return None
+    try:
+        return str(length)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return formula
 
 
 def _check_gate_def(gd, scope, out):

@@ -98,6 +98,32 @@ class TestRun:
         assert code == 2
         assert "ShotError: division by zero at line 4" in err
 
+    @pytest.mark.parametrize("line, code, message", [
+        ("qubit[\u00b2] q;", 1, "parse error: unexpected character '\u00b2' at line 2, column 7"),
+        (f"qubit[{'9' * 5000}] q;", 1,
+         "parse error: integer literal of 5000 digits is too long at line 2, column 7"),
+        (f"qubit[1] q; int k = {'1' * 5000};", 1,
+         "parse error: integer literal of 5000 digits is too long at line 2, column 21"),
+        (f"qubit[1] q; bit[2] c = [{'1' * 5000}, 0];", 1,
+         "parse error: integer literal of 5000 digits is too long at line 2, column 25"),
+        ("qubit[1] q; bit[2] c = [2, 0];", 1,
+         "error: bit literal element 2 is not 0 or 1 (line 2, col 13)"),
+        ("qubit[1] q; qram r[20000,1]; qinit r [0];", 1,
+         "error: qinit literal length 1 != expected 2^20000 * 1 (line 2, col 30)"),
+        ("", 2, "error: program declares no qubits"),
+    ], ids=["superscript-digit", "long-size", "long-int", "long-bit", "bit-value",
+            "wide-qinit", "no-qubits"])
+    def test_malformed_program_exits_with_one_line(self, capsys, tmp_path, line, code, message):
+        src = tmp_path / "bad.qmasm"
+        src.write_text(f"OPENQASM 3;\n{line}\n", encoding="utf-8")
+        assert run_cli(capsys, "run", str(src)) == (code, "", message + "\n")
+
+    def test_non_ascii_decimal_digits_are_integers(self, capsys, tmp_path):
+        src = tmp_path / "digits.qmasm"
+        src.write_text("OPENQASM 3;\nqubit[1] q;\nint k = \u0663;\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "run", str(src))
+        assert code == 0 and "k=3\n" in out
+
     def test_timeline_report(self, capsys):
         code, out, _ = run_cli(capsys, "run", "examples/bell_store.qmasm",
                                "--timeline")

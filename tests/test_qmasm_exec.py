@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -293,6 +294,105 @@ class TestErrorsAndConfig:
         assert len(stored) == 2
         want = math.prod(math.exp(-(end - since) / 10e-6) for since in stored)
         assert res.fidelity_estimate == pytest.approx(want, rel=1e-12)
+
+
+def bad_gate_body_program():
+    """`g q[0];` where g's body holds a `measure`: the parser accepts no such
+    body and the validator does not look for one, so only a hand-built AST
+    reaches the interpreter's own check."""
+    program = qmasm.parse_program(HEADER + "qubit[1] q;\nbit[1] c;\ngate g a { x a; }\ng q[0];\n")
+    body = list(program.body)
+    measure = nodes.Measure(nodes.QArg("a"), nodes.QArg("c", nodes.Num(0)))
+    body[2] = dataclasses.replace(body[2], body=(measure,))
+    return nodes.Program(tuple(body), program.warnings)
+
+
+class TestReachableErrors:
+    """Every error the interpreter raises that a program can reach past the
+    validator, with its exact message, so a rework of the statement path keeps
+    each one word for word."""
+
+    PREFIX = HEADER + "qubit[4] q;\nbit[2] c;\n"
+    UNTAKEN = "if (c[0] == 1) { "
+
+    @pytest.mark.parametrize("src, config, message", [
+        (PREFIX + UNTAKEN + "int k = 1; }\nint j = k;\n", {},
+         "ShotError: unknown name 'k' at line 5, col 9"),
+        (PREFIX + UNTAKEN + "bit[1] d; }\nint j = d[0];\n", {},
+         "ShotError: unknown bit register 'd' at line 5, col 9"),
+        (PREFIX + "int k = 3;\nint j = c[k];\n", {},
+         "ShotError: index 3 out of range for c at line 5, col 9"),
+        (PREFIX + "int k = 4;\nh q[k];\n", {},
+         "ShotError: index 4 out of range for q at line 5, col 3"),
+        (PREFIX + UNTAKEN + "bit[1] d; }\nmeasure q[0] -> d[0];\n", {},
+         "ShotError: undeclared bit register 'd' at line 5, col 17"),
+        (PREFIX + "int k = 2;\ncx q[0:k], q[2:3];\n", {},
+         "ShotError: broadcast width mismatch at line 5, col 1"),
+        (PREFIX + UNTAKEN + "gate g a { x a; } }\ng q[0];\n", {},
+         "ShotError: unknown gate 'g' at line 5, col 1"),
+        (PREFIX + "gate g(t) a { U(t, 0, 0) a; }\ngate k a { g a; }\nk q[0];\n", {},
+         "ShotError: gate 'g' called with wrong arity"),
+        (PREFIX + "int k = 0;\nmeasure q[0:1] -> c[0:k];\n", {},
+         "ShotError: measure width mismatch at line 5, col 1"),
+        (PREFIX + UNTAKEN + "bit[2] d; }\nqram r[1,1];\nqinit r [d];\n", {},
+         "ShotError: qinit source 'd' not initialized"),
+        (PREFIX + "qram r[1,1];\nqinit r [0,1];\nqinit r [1,0];\n", {"backend": "circuit"},
+         "ShotError: circuit backend does not support re-running qinit"),
+        (PREFIX + "qram r[1,1];\nqld r(q[0])[q[1]];\n", {},
+         "ShotError: qld before qinit"),
+        (PREFIX + "qram r[2,1];\nqinit r [0,1,1,0];\nint k = 1;\nqld r(q[0])[q[1:k]];\n", {},
+         "ShotError: qld needs 2 address and 1 bus qubits, got 1/1"),
+        (HEADER, {}, "ArgumentError: program declares no qubits"),
+        (None, {}, "ShotError: bad statement in gate body of 'g'"),
+        # a gate that fails its check reports before a later gate of the same
+        # call fails to evaluate
+        (PREFIX + "gate g a, b { cx a, b; U(1/0, 0, 0) a; }\ng q[0], q[0];\n", {},
+         "ArgumentError: qubit 0 repeated among targets/controls"),
+        (PREFIX + "gate g a, b { cx a; U(1/0, 0, 0) a; }\ng q[0], q[1];\n", {},
+         "ArgumentError: gate 'cnot' expects 2 targets, got 1"),
+        (PREFIX + "gate g a, b { cx a, b; U(1/0, 0, 0) a; }\ng q[0], q[1];\n", {},
+         "ShotError: division by zero at line 4, col 27"),
+    ], ids=["unknown-name", "unknown-bit-register", "index-in-expression",
+            "index-in-argument", "undeclared-bit-register", "broadcast-width",
+            "unknown-gate", "wrong-arity", "measure-width", "qinit-source",
+            "qinit-rerun", "qld-before-qinit", "qld-width", "no-qubits",
+            "bad-gate-body", "repeat-before-eval", "width-before-eval", "eval-in-body"])
+    def test_message(self, src, config, message):
+        program = bad_gate_body_program() if src is None else qmasm.parse_program(src)
+        got = outcome(lambda: qmasm.execute(program, 0, qmasm.RunConfig(**config)).error)
+        assert got == message
+
+
+class TestAtomicStatements:
+    """A gate call or an ld/st that fails leaves the shot as it was before the
+    statement: its error shot equals an `ok` run of the program cut before
+    the failing statement, timeline and cell statuses included."""
+
+    TIMING = qmasm.TimingProfile(
+        gate_time=1e-6, gate_fidelity=0.99, raqm_fidelity=0.98,
+        raqm=memdev.RaqmTiming(t_addr=1e-6, t_rw_qmc=2e-7, t_storage=1e-5))
+
+    @pytest.mark.parametrize("done, failing, policy, error", [
+        ("qubit[2] q;\nx q[0];\n", "cx q, q[1];\n", "swap",
+         "ArgumentError: qubit 1 repeated among targets/controls"),
+        ("qubit[2] q;\nx q[0];\ngate g a, b { cx a, b; h b; U(1/0, 0, 0) a; }\n",
+         "g q[0], q[1];\n", "swap", "ShotError: division by zero at line 4, col 32"),
+        ("qubit[2] q;\nx q[0];\nmem 3;\nint a = 2;\n", "st [a] = q;\n", "swap",
+         "AddressError: address 3 out of range for 3-cell memory"),
+        ("qubit[2] q;\nx q[0];\nmem 3;\nst [0] = q;\nint a = 2;\n", "ld q = [a];\n",
+         "swap", "AddressError: address 3 out of range for 3-cell memory"),
+        ("qubit[2] q;\nqubit[1] p;\nx q;\nmem 3;\nst [1] = p;\n", "st [0] = q;\n", "error",
+         "PolicyError: store to occupied cell 1 (policy 'error'; use 'swap' to allow reuse)"),
+    ], ids=["gate-broadcast", "user-gate-body", "st-span", "ld-span", "st-policy"])
+    def test_error_shot_equals_the_run_before_the_statement(self, done, failing, policy, error):
+        config = qmasm.RunConfig(timing=self.TIMING, store_policy=policy)
+        failed = qmasm.execute(qmasm.parse_program(HEADER + done + failing), 0, config)
+        before = qmasm.execute(qmasm.parse_program(HEADER + done), 0, config)
+        assert (failed.status, failed.error) == ("error", error)
+        assert before.status == "ok" and before.timeline
+        assert failed.final_state.amps.tobytes() == before.final_state.amps.tobytes()
+        for name in ("trace", "timeline", "classical", "memory_dump", "fidelity_estimate"):
+            assert getattr(failed, name) == getattr(before, name), name
 
 
 class TestFlattenedTraceEquivalence:

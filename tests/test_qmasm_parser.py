@@ -154,6 +154,22 @@ qubit[1] q;
         src = HEADER + "bit[8] v;\nqram qr[4,1];\nqinit qr [v];\nqubit[1] q;\n"
         assert any("qinit data length 8" in str(e) for e in errors_of(src))
 
+    @pytest.mark.parametrize("qram, source, message", [
+        ("qr[2,1]", "[0,1,1]", "qinit literal length 3 != expected 4"),
+        ("qr[2,3]", "[v]", "qinit data length 8 != expected 12"),
+        ("qr[20000,1]", "[0]", "qinit literal length 1 != expected 2^20000 * 1"),
+        ("qr[20000,3]", "[v]", "qinit data length 8 != expected 2^20000 * 3"),
+        ("qr[4000,1]", "[0]", f"qinit literal length 1 != expected {1 << 4000}"),
+    ])
+    def test_qinit_length_mismatch(self, qram, source, message):
+        src = HEADER + f"bit[8] v;\nqram {qram};\nqinit qr {source};\nqubit[1] q;\n"
+        assert [e.message for e in errors_of(src)] == [message]
+
+    def test_bit_literal_values(self):
+        assert errors_of(HEADER + "bit[3] c = [1, 0, 1];\n") == []
+        errs = errors_of(HEADER + "bit[3] c = [1, 3, 2];\n")
+        assert [e.message for e in errs] == ["bit literal element 3 is not 0 or 1"]
+
     def test_qld_width_errors(self):
         src = HEADER + """
 qubit[4] q;
